@@ -59,9 +59,9 @@ double ms_since(Clock::time_point start, Clock::time_point end) {
 
 // Stage names of the per-request latency decomposition, in pipeline
 // order. Indexes match Telemetry::stage() and SlowEntry::stage_ms.
-constexpr std::size_t kStageCount = 5;
-constexpr const char* kStageNames[kStageCount] = {
-    "queue_wait", "batch_linger", "solve", "serialize", "network"};
+constexpr std::size_t kStageCount = 4;
+constexpr const char* kStageNames[kStageCount] = {"queue_wait", "solve",
+                                                  "serialize", "network"};
 
 }  // namespace
 
@@ -110,12 +110,19 @@ Result<ProgramModel> load_profile(const std::string& path,
 struct Server::AtomicCounters {
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> inline_ops{0};
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> deadline_exceeded{0};
   std::atomic<std::uint64_t> malformed{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reload_rejected{0};
+  /// Solver answers handed to send_line / fully accounted afterwards.
+  /// respond() bumps `sent` before the bytes can reach the peer and
+  /// `accounted` once every record of the answer is written;
+  /// await_accounted() waits for the two to meet.
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> accounted{0};
 };
 
 struct Server::Connection {
@@ -199,14 +206,13 @@ struct Server::Telemetry {
     /// Per-stage decomposition of latency_ms, indexed by kStageNames.
     /// The stages sum to latency_ms (respond() computes queue_wait as
     /// the remainder, so the identity holds by construction).
-    double stage_ms[kStageCount] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    double stage_ms[kStageCount] = {0.0, 0.0, 0.0, 0.0};
   };
 
   obs::WindowedHistogram window;
   /// Per-stage sliding windows behind serve.stage.<name>.window.*
   /// gauges. Same window as the end-to-end one.
   obs::WindowedHistogram stage_queue_wait;
-  obs::WindowedHistogram stage_batch_linger;
   obs::WindowedHistogram stage_solve;
   obs::WindowedHistogram stage_serialize;
   obs::WindowedHistogram stage_network;
@@ -220,7 +226,6 @@ struct Server::Telemetry {
   Telemetry(unsigned window_s, std::size_t cap)
       : window(window_s),
         stage_queue_wait(window_s),
-        stage_batch_linger(window_s),
         stage_solve(window_s),
         stage_serialize(window_s),
         stage_network(window_s),
@@ -232,9 +237,8 @@ struct Server::Telemetry {
   obs::WindowedHistogram& stage(std::size_t i) {
     switch (i) {
       case 0: return stage_queue_wait;
-      case 1: return stage_batch_linger;
-      case 2: return stage_solve;
-      case 3: return stage_serialize;
+      case 1: return stage_solve;
+      case 2: return stage_serialize;
       default: return stage_network;
     }
   }
@@ -323,7 +327,6 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
   OCPS_CHECK(config_.max_batch > 0, "serve: max_batch must be positive");
   OCPS_CHECK(config_.queue_capacity > 0,
              "serve: queue_capacity must be positive");
-  OCPS_CHECK(config_.linger.count() >= 0, "serve: linger must be >= 0");
   OCPS_CHECK(config_.default_deadline_ms >= 0.0 &&
                  std::isfinite(config_.default_deadline_ms),
              "serve: default_deadline_ms must be finite and >= 0");
@@ -534,6 +537,7 @@ Server::Counters Server::counters() const {
   Counters c;
   c.requests = counters_->requests.load();
   c.answered = counters_->answered.load();
+  c.inline_ops = counters_->inline_ops.load();
   c.shed = counters_->shed.load();
   c.deadline_exceeded = counters_->deadline_exceeded.load();
   c.malformed = counters_->malformed.load();
@@ -707,6 +711,10 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     return;
   }
 
+  if (req.op != Op::kPartition && req.op != Op::kSweep) {
+    counters_->inline_ops.fetch_add(1);
+    await_accounted();
+  }
   switch (req.op) {
     case Op::kHealth:
       handle_health(conn, req);
@@ -1110,45 +1118,26 @@ void Server::batch_loop() {
         if (producers_done_.load()) break;
         continue;
       }
-      const bool draining = stopping_.load();
       // Test seam: admit but do not drain while held (never during the
       // shutdown drain, which must always make progress).
-      if (!draining && config_.hold_batching &&
+      if (!stopping_.load() && config_.hold_batching &&
           config_.hold_batching->load()) {
         lock.unlock();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         continue;
       }
-      // Stage attribution: [collect_start, collect_end] brackets the
-      // deliberate linger; respond() charges it to batch_linger and
-      // everything else a request waited to queue_wait.
-      Clock::time_point collect_start = Clock::now();
-      if (!draining) {
-        // Linger: give the batch a chance to fill before solving, so
-        // concurrent clients coalesce and the DP prefix reuse has
-        // something to share.
-        Clock::time_point linger_until = collect_start + config_.linger;
-        while (!stopping_.load() && queue_.size() < config_.max_batch) {
-          Clock::time_point now = Clock::now();
-          if (now >= linger_until) break;
-          queue_cv_.wait_until(
-              lock, std::min(linger_until,
-                             now + std::chrono::milliseconds(kPollMs)));
-        }
-      }
-      Clock::time_point collect_end = Clock::now();
-      std::size_t take = std::min(queue_.size(), config_.max_batch);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        batch.back().collect_start = collect_start;
-        batch.back().collect_end = collect_end;
-      }
+      // Self-clocking: take what is already queued and solve it now.
+      // Requests that arrive during the solve form the next batch, so
+      // batches grow with load and an idle daemon answers at once.
+      const std::size_t take = std::min(queue_.size(), config_.max_batch);
+      const auto first = queue_.begin();
+      batch.assign(std::make_move_iterator(first),
+                   std::make_move_iterator(first + take));
+      queue_.erase(first, first + take);
       OCPS_OBS_GAUGE("serve.queue_depth",
                      static_cast<double>(queue_.size()));
     }
-    if (!batch.empty()) process_batch(batch, solver);
+    process_batch(batch, solver);
   }
 }
 
@@ -1408,6 +1397,7 @@ void Server::answer_sweep(Pending& p, const ProfileSet& set) {
 
 void Server::respond(Pending& p, const std::string& line, bool answered) {
   Clock::time_point send_start = Clock::now();
+  counters_->sent.fetch_add(1);
   p.conn->send_line(line);
   Clock::time_point now = Clock::now();
   double ns = static_cast<double>(
@@ -1421,19 +1411,16 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
   OCPS_OBS_HIST("serve.request_latency", ms);
   if (obs::enabled()) telemetry_->window.observe(ms);
 
-  // Stage decomposition. batch_linger is the deliberate coalescing wait
-  // (bounded by --linger-ms); solve / serialize / network come straight
-  // from the stamps; queue_wait is the remainder — queue backlog plus
-  // intra-batch ordering — so the five stages sum to latency_ms exactly
+  // Stage decomposition. solve / serialize / network come straight from
+  // the stamps; queue_wait is the remainder — queue backlog plus
+  // intra-batch ordering — so the four stages sum to latency_ms exactly
   // (modulo floating rounding), which the tests pin within an epsilon.
   double stage_ms[kStageCount];
-  stage_ms[1] = std::max(
-      0.0, ms_since(std::max(p.enqueued, p.collect_start), p.collect_end));
-  stage_ms[2] = std::max(0.0, ms_since(p.solve_start, p.serialize_start));
-  stage_ms[3] = std::max(0.0, ms_since(p.serialize_start, send_start));
-  stage_ms[4] = std::max(0.0, ms_since(send_start, now));
-  stage_ms[0] = std::max(
-      0.0, ms - stage_ms[1] - stage_ms[2] - stage_ms[3] - stage_ms[4]);
+  stage_ms[1] = std::max(0.0, ms_since(p.solve_start, p.serialize_start));
+  stage_ms[2] = std::max(0.0, ms_since(p.serialize_start, send_start));
+  stage_ms[3] = std::max(0.0, ms_since(send_start, now));
+  stage_ms[0] =
+      std::max(0.0, ms - stage_ms[1] - stage_ms[2] - stage_ms[3]);
   if (obs::enabled()) {
     for (std::size_t i = 0; i < kStageCount; ++i) {
       std::string name = std::string("serve.stage.") + kStageNames[i];
@@ -1469,6 +1456,28 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
     counters_->answered.fetch_add(1);
     OCPS_OBS_COUNT("serve.answered", 1);
   }
+  counters_->accounted.fetch_add(1);
+  counters_->accounted.notify_all();
+}
+
+void Server::await_accounted() const {
+  // Only the batching thread responds, so at most one answer is between
+  // `sent` and `accounted` at a time and this wait is bounded by one
+  // send_line (io_timeout, plus any injected chaos stall).
+  const std::uint64_t target = counters_->sent.load();
+  for (std::uint64_t seen = counters_->accounted.load(); seen < target;
+       seen = counters_->accounted.load())
+    counters_->accounted.wait(seen);
+}
+
+std::string drain_summary(const Server::Counters& c) {
+  std::ostringstream out;
+  out << "drained: " << c.requests << " requests, " << c.answered
+      << " answered, " << c.inline_ops << " inline ops, " << c.shed
+      << " shed, " << c.deadline_exceeded << " past deadline, "
+      << c.malformed << " malformed, " << c.batches << " batches, "
+      << c.reloads << " reloads";
+  return out.str();
 }
 
 }  // namespace ocps::serve

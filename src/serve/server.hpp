@@ -15,11 +15,13 @@
 //   * solver requests enter a bounded queue — admission control: when the
 //     queue is full the request is shed immediately with 429 instead of
 //     growing the backlog (load-shedding beats unbounded latency);
-//   * the batching thread coalesces up to `max_batch` requests (waiting
-//     at most `linger` after the first), sorts them for DP prefix reuse,
-//     and answers each; per-request deadlines are honored cooperatively —
-//     checked before each solve and per group inside the sweep loop — and
-//     expired requests get 504;
+//   * the batching thread is self-clocking: it wakes on a non-empty
+//     queue, takes up to `max_batch` of the requests already queued
+//     (never waiting for more), sorts them for DP prefix reuse, and
+//     answers each; requests that arrive during a solve form the next
+//     batch, so coalescing grows with load on its own. Per-request
+//     deadlines are honored cooperatively — checked before each solve and
+//     per group inside the sweep loop — and expired requests get 504;
 //   * `reload` builds a complete candidate profile set first — every file
 //     re-validated through the PR 1 sanitizer — and atomically swaps it
 //     in only when every profile is good; any bad profile rejects the
@@ -71,8 +73,7 @@ struct ServeConfig {
   std::string listen_address;
   std::size_t capacity = 1024;   ///< default / maximum cache size in units
   std::size_t max_batch = 64;    ///< max solver requests per batch
-  std::chrono::milliseconds linger{2};  ///< max wait to fill a batch
-  std::size_t queue_capacity = 256;     ///< admission-control bound
+  std::size_t queue_capacity = 256;  ///< admission-control bound
   std::size_t threads = 0;       ///< sweep width (0 = auto, see SweepOptions)
   double default_deadline_ms = 0.0;  ///< per-request default; 0 = none
 
@@ -202,6 +203,9 @@ class Server {
   struct Counters {
     std::uint64_t requests = 0;     ///< lines received (any op)
     std::uint64_t answered = 0;     ///< solver requests answered ok
+    /// Requests answered inline by a reader thread (health, reload,
+    /// metrics, slowlog, trace, slo, decisions, reconcile).
+    std::uint64_t inline_ops = 0;
     std::uint64_t shed = 0;         ///< 429 admission rejections
     std::uint64_t deadline_exceeded = 0;  ///< 504 responses
     std::uint64_t malformed = 0;    ///< 400 parse/validation failures
@@ -223,12 +227,8 @@ class Server {
     /// time_point::max() when the request has no deadline.
     std::chrono::steady_clock::time_point deadline;
     /// Stage-attribution stamps (respond() turns these into the
-    /// queue_wait / batch_linger / solve / serialize / network stage
-    /// histograms): when the batcher started collecting the batch this
-    /// request rode in, when it stopped lingering, when this request's
-    /// solve began, and when response serialization began.
-    std::chrono::steady_clock::time_point collect_start;
-    std::chrono::steady_clock::time_point collect_end;
+    /// queue_wait / solve / serialize / network stage histograms): when
+    /// this request's solve began and when response serialization began.
     std::chrono::steady_clock::time_point solve_start;
     std::chrono::steady_clock::time_point serialize_start;
   };
@@ -266,6 +266,11 @@ class Server {
                         SolverState& solver);
   void answer_sweep(Pending& p, const ProfileSet& profiles);
   void respond(Pending& p, const std::string& line, bool answered);
+  /// Blocks until every solver answer sent before this call has been
+  /// fully accounted (counters, histograms, SLO, slowlog). Inline ops call
+  /// it first, so a client that reads its answer and then asks for
+  /// telemetry never sees the answer missing from it.
+  void await_accounted() const;
 
   std::shared_ptr<const ProfileSet> profiles() const;
 
@@ -329,5 +334,10 @@ class Server {
   /// decision after a version bump records trigger=reload.
   std::atomic<std::uint64_t> last_decision_version_{0};
 };
+
+/// The one-line summary `ocps serve` prints after its drain. Solver
+/// answers and inline ops are counted separately, so a daemon that only
+/// ever saw `health` probes does not read as "N requests, 0 answered".
+std::string drain_summary(const Server::Counters& c);
 
 }  // namespace ocps::serve

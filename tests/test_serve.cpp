@@ -494,6 +494,149 @@ TEST_F(ServeTest, RequestsDuringDrainGet503) {
   server.stop();
 }
 
+TEST_F(ServeTest, HealthOnlyDrainSummaryCountsInlineOps) {
+  ServeConfig config;
+  config.socket_path = unique_socket_path("healthdrain");
+  config.capacity = kCapacity;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+
+  Result<Client> client = Client::connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  for (int i = 0; i < 5; ++i) {
+    Result<Response> h = client.value().call(R"({"op":"health"})");
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(h.value().ok);
+  }
+
+  server.request_stop();
+  server.stop();
+  // Health probes are answered inline: they must show up as such, not as
+  // requests that were never answered.
+  EXPECT_EQ(drain_summary(server.counters()),
+            "drained: 5 requests, 0 answered, 5 inline ops, 0 shed, "
+            "0 past deadline, 0 malformed, 0 batches, 0 reloads");
+}
+
+// ---------------------------------------------------------------------------
+// Self-clocking batching: the batcher solves whatever is queued when it
+// wakes and never waits for more, so batch formation is a function of the
+// queue, not of timing.
+
+TEST_F(ServeTest, SequentialCallsOnIdleDaemonEachFormOneBatch) {
+  ServeConfig config;
+  config.socket_path = unique_socket_path("seqbatch");
+  config.capacity = kCapacity;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+
+  Result<Client> client = Client::connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kCalls; ++i) {
+    Result<Response> r =
+        client.value().call(partition_request(i, {"prog0", "prog1"}));
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.value().ok) << r.value().error;
+  }
+
+  Result<Response> h = client.value().call(R"({"op":"health"})");
+  ASSERT_TRUE(h.ok());
+  const json::Value* counters = h.value().body.find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->get_number("answered", -1.0), kCalls);
+  EXPECT_EQ(counters->get_number("batches", -1.0), kCalls);
+
+  server.request_stop();
+  server.stop();
+  EXPECT_EQ(server.counters().batches, static_cast<std::uint64_t>(kCalls));
+}
+
+TEST_F(ServeTest, HeldBatcherReleasesPipelinedRequestsAsOneBatch) {
+  constexpr std::size_t kRequests = 8;
+  std::atomic<bool> hold{true};
+  ServeConfig config;
+  config.socket_path = unique_socket_path("onebatch");
+  config.capacity = kCapacity;
+  config.max_batch = kRequests;
+  config.hold_batching = &hold;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+
+  Result<Client> client = Client::connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+
+  // Release the batcher only once every pipelined request is queued, so
+  // the first wake sees all of them.
+  std::thread releaser([&] {
+    for (int spin = 0; spin < 5000 && server.queue_depth() < kRequests;
+         ++spin)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    hold.store(false);
+  });
+  std::string lines;
+  for (std::size_t i = 1; i <= kRequests; ++i) {
+    if (i > 1) lines += "\n";
+    lines += partition_request(static_cast<std::int64_t>(i),
+                               {"prog0", "prog2"})
+                 .dump();
+  }
+  Result<Response> first = client.value().call(lines);
+  releaser.join();
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first.value().ok);
+  EXPECT_EQ(first.value().id, 1);
+  // The daemon skips empty lines, so call("") sends nothing it answers
+  // and just reads the next pipelined answer.
+  for (std::size_t i = 2; i <= kRequests; ++i) {
+    Result<Response> r = client.value().call("");
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().ok);
+    EXPECT_EQ(r.value().id, static_cast<std::int64_t>(i));
+  }
+
+  server.request_stop();
+  server.stop();
+  Server::Counters c = server.counters();
+  EXPECT_EQ(c.answered, kRequests);
+  EXPECT_EQ(c.batches, 1u);
+#ifndef OCPS_OBS_DISABLED
+  obs::MetricsSnapshot snap = obs::metrics_snapshot();
+  for (const auto& hist : snap.histograms) {
+    if (hist.name == "serve.batch_size") {
+      EXPECT_EQ(hist.sum, static_cast<double>(kRequests));
+    }
+  }
+#endif
+}
+
+TEST_F(ServeTest, TelemetryAfterAnswerAlwaysSeesIt) {
+  ServeConfig config;
+  config.socket_path = unique_socket_path("afteranswer");
+  config.capacity = kCapacity;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+
+  Result<Client> client = Client::connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  // An inline op sent after an answer arrived must count that answer,
+  // however the reader and batching threads interleave.
+  for (int i = 1; i <= 200; ++i) {
+    Result<Response> r =
+        client.value().call(partition_request(i, {"prog1", "prog3"}));
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.value().ok) << r.value().error;
+    Result<Response> h = client.value().call(R"({"op":"health"})");
+    ASSERT_TRUE(h.ok());
+    const json::Value* counters = h.value().body.find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_EQ(counters->get_number("answered", -1.0), i) << "iteration " << i;
+  }
+
+  server.request_stop();
+  server.stop();
+}
+
 TEST_F(ServeTest, StaleSocketFileIsReclaimed) {
   ServeConfig config;
   config.socket_path = unique_socket_path("stale");
@@ -1001,9 +1144,8 @@ TEST_F(ServeTest, ChaosResetDropsConnectionButClientRetriesThrough) {
 // ---------------------------------------------------------------------------
 // Per-stage latency attribution, distributed tracing, and SLOs.
 
-constexpr const char* kStageFields[] = {"queue_wait_ms", "batch_linger_ms",
-                                        "solve_ms", "serialize_ms",
-                                        "network_ms"};
+constexpr const char* kStageFields[] = {"queue_wait_ms", "solve_ms",
+                                        "serialize_ms", "network_ms"};
 
 TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
   ServeConfig config;
@@ -1032,7 +1174,7 @@ TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
     EXPECT_EQ(row.get_string("op", ""), "partition");
     double latency = row.get_number("latency_ms", -1.0);
     ASSERT_GE(latency, 0.0);
-    // …with the five stage fields appended, each non-negative, and the
+    // …with the four stage fields appended, each non-negative, and the
     // decomposition reconciling with the end-to-end latency: queue_wait
     // is computed as the remainder, so the identity is exact up to
     // floating rounding.
@@ -1221,9 +1363,8 @@ TEST_F(ServeTest, MetricsExposeStageSeriesAndSloGauges) {
   const json::Value* hists = metrics->find("histograms");
   ASSERT_NE(hists, nullptr);
   for (const char* stage :
-       {"serve.stage.queue_wait", "serve.stage.batch_linger",
-        "serve.stage.solve", "serve.stage.serialize",
-        "serve.stage.network"}) {
+       {"serve.stage.queue_wait", "serve.stage.solve",
+        "serve.stage.serialize", "serve.stage.network"}) {
     const json::Value* h = hists->find(stage);
     ASSERT_NE(h, nullptr) << stage;
     EXPECT_EQ(h->get_number("count", 0.0), 1.0) << stage;

@@ -127,8 +127,9 @@ commands:
                        refused with 503 (256)
       --io-timeout-ms T  per-connection read/write timeout (5000)
       --capacity C     default / maximum cache size in blocks (1024)
-      --max-batch N    max solver requests coalesced per batch (64)
-      --linger-ms L    max wait to fill a batch, milliseconds (2)
+      --max-batch N    max solver requests per batch (64); the batcher
+                       never waits: it solves what is queued, and requests
+                       arriving during a solve form the next batch
       --queue-cap N    admission bound; beyond it requests shed 429 (256)
       --threads N      sweep threads; 0 = auto (0)
       --deadline-ms D  default per-request deadline; 0 = none (0)
@@ -767,7 +768,6 @@ int cmd_serve(const ArgParser& args) {
       std::chrono::milliseconds(args.get_int("io-timeout-ms", 5000));
   config.capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
   config.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 64));
-  config.linger = std::chrono::milliseconds(args.get_int("linger-ms", 2));
   config.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-cap", 256));
   config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
@@ -821,11 +821,7 @@ int cmd_serve(const ArgParser& args) {
   server.stop();
   g_server.store(nullptr);
 
-  serve::Server::Counters c = server.counters();
-  std::cout << "drained: " << c.requests << " requests, " << c.answered
-            << " answered, " << c.shed << " shed, " << c.deadline_exceeded
-            << " past deadline, " << c.malformed << " malformed, "
-            << c.batches << " batches, " << c.reloads << " reloads\n";
+  std::cout << serve::drain_summary(server.counters()) << "\n";
   if (chaos)
     std::cout << "chaos injected: " << chaos->injected_accept_failures()
               << " accept failures, " << chaos->injected_resets()
@@ -1635,8 +1631,8 @@ int cmd_top(const ArgParser& args) {
                      num("gauges", "serve.request_latency.window.p99"), 3)
               << "   (last " << window_s << "s)\n";
     frame_out << "  stage p99   ";
-    static const char* kStages[] = {"queue_wait", "batch_linger", "solve",
-                                    "serialize", "network"};
+    static const char* kStages[] = {"queue_wait", "solve", "serialize",
+                                    "network"};
     for (const char* stage : kStages)
       frame_out << stage << " "
                 << TextTable::num(
@@ -1697,7 +1693,7 @@ int main(int argc, char** argv) {
         "metrics-out", "socket", "timeout-ms"}},
       {"serve",
        {"socket", "listen", "max-conns", "io-timeout-ms", "capacity",
-        "max-batch", "linger-ms", "queue-cap", "threads", "deadline-ms",
+        "max-batch", "queue-cap", "threads", "deadline-ms",
         "metrics-port", "slowlog-cap", "window-s", "slo-p99-ms",
         "slo-availability", "decision-log-cap", "drift-alpha",
         "drift-threshold", "trace-out", "metrics-out", "chaos-accept-fail",

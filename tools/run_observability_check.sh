@@ -206,13 +206,12 @@ else
 fi
 
 # Per-stage attribution: every slowlog row decomposes its latency into
-# the five stages, and the stages must reconcile with the total.
+# the four stages, and the stages must reconcile with the total.
 check_slowlog_stages() {
   if command -v python3 > /dev/null; then
     python3 - "$1" <<'EOF'
 import json, sys
-stages = ("queue_wait_ms", "batch_linger_ms", "solve_ms",
-          "serialize_ms", "network_ms")
+stages = ("queue_wait_ms", "solve_ms", "serialize_ms", "network_ms")
 rows = json.load(open(sys.argv[1]))["slowlog"]
 assert rows, "slowlog is empty after tagged traffic"
 for row in rows:
@@ -245,9 +244,9 @@ EOF
     serve_requests serve_request_latency_bucket serve_request_latency_p50 \
     serve_request_latency_p95 serve_request_latency_p99 \
     serve_request_latency_window_p50 serve_queue_depth obs_spans_dropped \
-    serve_stage_queue_wait_bucket serve_stage_batch_linger_bucket \
-    serve_stage_solve_bucket serve_stage_serialize_bucket \
-    serve_stage_network_bucket serve_stage_solve_window_p99 \
+    serve_stage_queue_wait_bucket serve_stage_solve_bucket \
+    serve_stage_serialize_bucket serve_stage_network_bucket \
+    serve_stage_solve_window_p99 \
     serve_slo_latency_target serve_slo_latency_burn_5m \
     serve_slo_latency_burn_1h serve_slo_availability_burn_5m \
     serve_slo_alerts_total \
