@@ -91,6 +91,11 @@ struct SpanRing {
 struct RingDirectory {
   std::mutex mu;
   std::vector<std::shared_ptr<SpanRing>> rings;
+  /// Rings of exited threads. The next new thread takes one over instead
+  /// of allocating, so a process that spawns a thread per connection
+  /// holds as many rings as it ever had live threads, not one per thread
+  /// it ever ran. The events already in a reused ring stay exportable.
+  std::vector<std::shared_ptr<SpanRing>> idle;
   std::uint32_t next_tid = 1;
 };
 
@@ -99,18 +104,37 @@ RingDirectory& directory() {
   return *d;
 }
 
-SpanRing& this_thread_ring() {
-  thread_local std::shared_ptr<SpanRing> ring = [] {
-    auto r = std::make_shared<SpanRing>();
-    r->events.reserve(kRingCapacity);
+// A thread's claim on one ring, handed back to the directory at exit.
+struct RingLease {
+  std::shared_ptr<SpanRing> ring;
+
+  RingLease() {
     spans_dropped_counter();  // register eagerly: scrapes always show it
     RingDirectory& d = directory();
     std::lock_guard<std::mutex> lock(d.mu);
-    r->tid = d.next_tid++;
-    d.rings.push_back(r);  // directory keeps rings alive past thread exit
-    return r;
-  }();
-  return *ring;
+    if (!d.idle.empty()) {
+      ring = std::move(d.idle.back());
+      d.idle.pop_back();
+    } else {
+      ring = std::make_shared<SpanRing>();
+      ring->events.reserve(kRingCapacity);
+      d.rings.push_back(ring);  // directory keeps rings past thread exit
+    }
+    // A fresh tid per thread: events carry the tid they were pushed
+    // with, so a reused ring never merges two threads' tracks.
+    ring->tid = d.next_tid++;
+  }
+
+  ~RingLease() {
+    RingDirectory& d = directory();
+    std::lock_guard<std::mutex> lock(d.mu);
+    d.idle.push_back(std::move(ring));
+  }
+};
+
+SpanRing& this_thread_ring() {
+  thread_local RingLease lease;
+  return *lease.ring;
 }
 
 void escape(std::ostream& os, const char* s) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
+#include "obs/slo.hpp"
 
 namespace ocps::serve {
 
@@ -356,6 +357,54 @@ json::Value drift_status_json(const obs::DriftStatus& status,
   }
   out.set("alerts", json::Value(std::move(rows)));
   return out;
+}
+
+json::Value slo_json(obs::SloTracker& slo) {
+  obs::SloTracker::Status status =
+      slo.status(obs::SloTracker::steady_now_ns());
+  json::Value body;
+  body.set("configured", json::Value(slo.configured()));
+  json::Array objectives;
+  for (const obs::SloTracker::Objective& o : status.objectives) {
+    json::Value row;
+    row.set("name", json::Value(o.name));
+    row.set("target", json::Value(o.target));
+    row.set("budget", json::Value(o.budget));
+    row.set("burn_5m", json::Value(o.burn_short));
+    row.set("burn_1h", json::Value(o.burn_long));
+    row.set("breaching", json::Value(o.breaching));
+    objectives.push_back(std::move(row));
+  }
+  body.set("objectives", json::Value(std::move(objectives)));
+  json::Array alerts;
+  for (const obs::SloTracker::Alert& a : status.alerts) {
+    json::Value row;
+    row.set("seq", json::Value(static_cast<double>(a.seq)));
+    row.set("at_ns", json::Value(static_cast<double>(a.at_ns)));
+    row.set("objective", json::Value(a.objective));
+    row.set("burn_5m", json::Value(a.burn_short));
+    row.set("burn_1h", json::Value(a.burn_long));
+    alerts.push_back(std::move(row));
+  }
+  body.set("alerts", json::Value(std::move(alerts)));
+  body.set("alerts_total",
+           json::Value(static_cast<double>(status.alerts_total)));
+  return body;
+}
+
+void publish_slo_gauges(obs::SloTracker& slo) {
+  if (!slo.configured()) return;
+  obs::SloTracker::Status status =
+      slo.status(obs::SloTracker::steady_now_ns());
+  for (const obs::SloTracker::Objective& o : status.objectives) {
+    std::string base = "serve.slo." + o.name;
+    obs::gauge(base + ".target").set(o.target);
+    obs::gauge(base + ".burn_5m").set(o.burn_short);
+    obs::gauge(base + ".burn_1h").set(o.burn_long);
+    obs::gauge(base + ".breaching").set(o.breaching ? 1.0 : 0.0);
+  }
+  obs::gauge("serve.slo.alerts_total")
+      .set(static_cast<double>(status.alerts_total));
 }
 
 Result<Response> parse_response(const std::string& line) {

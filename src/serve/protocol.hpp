@@ -42,6 +42,10 @@
 #include "util/json.hpp"
 #include "util/result.hpp"
 
+namespace ocps::obs {
+class SloTracker;  // obs/slo.hpp
+}
+
 namespace ocps::serve {
 
 /// Request kinds the daemon answers.
@@ -161,5 +165,17 @@ json::Value decision_accuracy_json(const obs::DecisionAccuracy& acc);
 /// detector state plus its bounded alert log.
 json::Value drift_status_json(const obs::DriftStatus& status,
                               const std::vector<obs::DriftAlert>& alerts);
+
+/// Body of an `slo` answer, evaluated now (which latches breach edges):
+///   {"configured","objectives":[{"name","target","budget","burn_5m",
+///    "burn_1h","breaching"},...],"alerts":[{"seq","at_ns","objective",
+///    "burn_5m","burn_1h"},...],"alerts_total"}
+/// Shared by the daemon and the router (which adds "role").
+json::Value slo_json(obs::SloTracker& slo);
+
+/// Sets the serve.slo.* gauges (per objective: target, burn_5m, burn_1h,
+/// breaching; plus alerts_total) from `slo`, when it has an objective.
+/// Both tiers call it on every scrape; each process exports its own view.
+void publish_slo_gauges(obs::SloTracker& slo);
 
 }  // namespace ocps::serve

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "util/result.hpp"
 
@@ -179,8 +180,8 @@ struct RouterConfig {
 };
 
 /// The front-tier daemon. Same lifecycle contract as serve::Server:
-/// construction validates config, start() binds and spawns threads,
-/// stop() drains and joins, single-use.
+/// construction validates config, start() binds (serve/frontend.hpp) and
+/// spawns threads, stop() drains and joins, single-use.
 class Router {
  public:
   explicit Router(RouterConfig config);
@@ -189,14 +190,16 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   Result<bool> start();
-  void request_stop() noexcept { stopping_.store(true); }
+  void request_stop() noexcept { frontend_.request_stop(); }
   void stop();
-  void wait_until_stop_requested() const;
-  bool stop_requested() const { return stopping_.load(); }
+  void wait_until_stop_requested() const {
+    frontend_.wait_until_stop_requested();
+  }
+  bool stop_requested() const { return frontend_.stop_requested(); }
 
   const RouterConfig& config() const { return config_; }
-  int bound_metrics_port() const { return http_port_.load(); }
-  int bound_listen_port() const { return tcp_port_.load(); }
+  int bound_metrics_port() const { return frontend_.bound_metrics_port(); }
+  int bound_listen_port() const { return frontend_.bound_listen_port(); }
 
   /// Breaker state of backend `i` (for tests and `health`).
   CircuitBreaker::State breaker_state(std::size_t i) const;
@@ -204,6 +207,9 @@ class Router {
   struct Counters {
     std::uint64_t requests = 0;        ///< lines received on the front
     std::uint64_t forwarded = 0;       ///< answered from a backend
+    /// Requests the router answered itself (health, metrics, reload
+    /// fan-out, trace, slo, decisions, reconcile).
+    std::uint64_t inline_ops = 0;
     std::uint64_t failovers = 0;       ///< backend attempts that failed over
     std::uint64_t relayed_errors = 0;  ///< definitive backend errors relayed
     std::uint64_t no_backend = 0;      ///< 502: every attempt failed
@@ -222,15 +228,14 @@ class Router {
   static std::string route_key(const Request& req);
 
  private:
-  struct Connection;
   struct Backend;
+  /// One client connection's backend Clients, indexed like backends_:
+  /// reader threads never share a backend socket.
+  using Lane = std::vector<Client>;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void health_loop();
-  void http_loop();
 
-  void handle_line(const std::shared_ptr<Connection>& conn,
+  void handle_line(const std::shared_ptr<Connection>& conn, Lane& lane,
                    const std::string& line);
   void handle_health_local(const std::shared_ptr<Connection>& conn,
                            const Request& req);
@@ -239,7 +244,7 @@ class Router {
   /// Fans a `trace` request out to every reachable backend and merges
   /// their proc entries with the router's own (one stitched timeline).
   void handle_trace_local(const std::shared_ptr<Connection>& conn,
-                          const Request& req);
+                          Lane& lane, const Request& req);
   /// Answers `slo` from the router's own tracker (fleet-level burn).
   void handle_slo_local(const std::shared_ptr<Connection>& conn,
                         const Request& req);
@@ -248,18 +253,23 @@ class Router {
   /// the fleet misbehaves) and returns one "backends" array of the
   /// per-daemon audit views.
   void handle_decisions_local(const std::shared_ptr<Connection>& conn,
-                              const Request& req);
+                              Lane& lane, const Request& req);
   /// Fans a `reconcile` out and relays the first backend that accepts
   /// it; decision ids are per-daemon counters, so only the issuing
   /// backend (in id order of the walk) reconciles successfully.
   void handle_reconcile_local(const std::shared_ptr<Connection>& conn,
-                              const Request& req);
+                              Lane& lane, const Request& req);
   /// forward() re-encodes the request with trace context stamped on
   /// (trace_id minted when absent, parent_span = this forward's span
   /// nonce, hop+1) — the relayed response stays verbatim.
-  void forward(const std::shared_ptr<Connection>& conn, const Request& req);
-  void fan_out_reload(const std::shared_ptr<Connection>& conn,
+  void forward(const std::shared_ptr<Connection>& conn, Lane& lane,
+               const Request& req);
+  void fan_out_reload(const std::shared_ptr<Connection>& conn, Lane& lane,
                       const Request& req, const std::string& line);
+  /// One call to backend `idx` on the lane's Client, connecting it first
+  /// if needed (no breaker or failover logic).
+  Result<Response> call_backend(Lane& lane, std::size_t idx,
+                                const std::string& line);
   void refresh_gauges();
   void record_backend_latency(std::size_t idx, double ms);
   std::uint64_t next_trace_nonce();
@@ -268,23 +278,7 @@ class Router {
   std::unique_ptr<HashRing> ring_;
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  int listen_fd_ = -1;  ///< Unix front listener
-  int lock_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::atomic<int> tcp_port_{0};
-  int http_fd_ = -1;
-  std::atomic<int> http_port_{0};
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> joined_{false};
-
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
-  std::thread accept_thread_;
   std::thread health_thread_;
-  std::thread http_thread_;
 
   std::chrono::steady_clock::time_point started_at_;
 
@@ -301,6 +295,14 @@ class Router {
   /// so two routers do not mint colliding ids.
   std::uint64_t trace_seed_ = 0;
   std::atomic<std::uint64_t> trace_counter_{0};
+
+  /// Front listeners, accept + reader threads, HTTP scrapes. Last
+  /// member: destroyed first, while everything its handlers touch lives.
+  Frontend frontend_;
 };
+
+/// The one-line summary `ocps router` prints after its drain; like the
+/// daemon's, it counts the ops the router answered itself separately.
+std::string drain_summary(const Router::Counters& c);
 
 }  // namespace ocps::serve

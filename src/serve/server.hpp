@@ -51,6 +51,7 @@
 
 #include "core/cost_matrix.hpp"
 #include "core/program_model.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "util/result.hpp"
 
@@ -151,8 +152,8 @@ Result<ProgramModel> load_profile(const std::string& path,
                                   std::size_t capacity);
 
 /// The daemon. Construction validates config and profiles; start() binds
-/// the socket and spawns the accept/reader/batching threads; stop()
-/// drains and joins everything. A Server is single-use: once stopped it
+/// the listeners (serve/frontend.hpp) and spawns the batching thread;
+/// stop() drains and joins everything. A Server is single-use: once stopped it
 /// cannot be restarted.
 class Server {
  public:
@@ -171,7 +172,7 @@ class Server {
   /// Signals shutdown. Async-signal-safe (only stores an atomic): the
   /// SIGTERM handler of `ocps serve` calls exactly this. Threads notice
   /// within one poll interval (~50 ms) and begin the drain.
-  void request_stop() noexcept { stopping_.store(true); }
+  void request_stop() noexcept { frontend_.request_stop(); }
 
   /// Blocks until request_stop() is observed and the drain completes,
   /// then joins every thread and removes the socket file. Idempotent.
@@ -179,18 +180,20 @@ class Server {
 
   /// Blocks until request_stop() has been called (the `ocps serve` main
   /// thread parks here), without initiating the drain itself.
-  void wait_until_stop_requested() const;
+  void wait_until_stop_requested() const {
+    frontend_.wait_until_stop_requested();
+  }
 
-  bool stop_requested() const { return stopping_.load(); }
+  bool stop_requested() const { return frontend_.stop_requested(); }
   const ServeConfig& config() const { return config_; }
 
   /// Port the Prometheus HTTP listener actually bound (relevant when the
   /// config asked for an ephemeral port); 0 when the listener is off.
-  int bound_metrics_port() const { return http_port_.load(); }
+  int bound_metrics_port() const { return frontend_.bound_metrics_port(); }
 
   /// Port the TCP request listener actually bound (relevant when
   /// listen_address asked for port 0); 0 when TCP is off.
-  int bound_listen_port() const { return tcp_port_.load(); }
+  int bound_listen_port() const { return frontend_.bound_listen_port(); }
 
   /// Requests currently admitted but not yet batched.
   std::size_t queue_depth() const;
@@ -216,7 +219,6 @@ class Server {
   Counters counters() const;
 
  private:
-  struct Connection;
   struct SolverState;
 
   /// One admitted solver request waiting in the batching queue.
@@ -233,10 +235,7 @@ class Server {
     std::chrono::steady_clock::time_point serialize_start;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void batch_loop();
-  void http_loop();
 
   void handle_line(const std::shared_ptr<Connection>& conn,
                    const std::string& line);
@@ -257,8 +256,8 @@ class Server {
   void handle_reconcile(const std::shared_ptr<Connection>& conn,
                         const Request& req);
   /// Recomputes the derived p50/p95/p99 gauges (lifetime, windowed, and
-  /// per-stage) plus the serve.slo.* burn-rate gauges; called before
-  /// every scrape.
+  /// per-stage) plus the serve.slo.* burn-rate gauges; the front end
+  /// calls it before every scrape.
   void refresh_latency_gauges();
   void process_batch(std::vector<Pending>& batch, SolverState& solver);
   void answer_partition(Pending& p,
@@ -275,19 +274,9 @@ class Server {
   std::shared_ptr<const ProfileSet> profiles() const;
 
   ServeConfig config_;
-  int listen_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::atomic<int> tcp_port_{0};
-  /// flock-held lock file guarding the Unix socket path: two daemons
-  /// racing the stale-socket reclaim cannot both win the lock, so one
-  /// gets a clear "in use by a live daemon" error instead of silently
-  /// stealing the path.
-  int lock_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> joined_{false};
-  /// Set by stop() once accept + readers are joined: nothing can enqueue
-  /// any more, so the batching thread may exit when the queue drains.
+  /// Set by stop() once the front end's readers are joined: nothing can
+  /// enqueue any more, so the batching thread may exit when the queue
+  /// drains.
   std::atomic<bool> producers_done_{false};
 
   mutable std::mutex profiles_mutex_;
@@ -298,16 +287,7 @@ class Server {
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
 
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
-
-  std::thread accept_thread_;
   std::thread batch_thread_;
-
-  int http_fd_ = -1;
-  std::atomic<int> http_port_{0};
-  std::thread http_thread_;
 
   std::chrono::steady_clock::time_point started_at_;
 
@@ -333,6 +313,10 @@ class Server {
   /// Profile-set version stamped on the previous decision; the first
   /// decision after a version bump records trigger=reload.
   std::atomic<std::uint64_t> last_decision_version_{0};
+
+  /// Listeners, accept + reader threads, HTTP scrapes. Last member: it is
+  /// destroyed first, while everything its handlers touch still lives.
+  Frontend frontend_;
 };
 
 /// The one-line summary `ocps serve` prints after its drain. Solver

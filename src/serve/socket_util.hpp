@@ -1,10 +1,9 @@
 // Shared socket plumbing for the serving plane.
 //
-// The daemon (server.cpp), the blocking client (client.cpp), and the
-// router front tier (router.cpp) all speak the same two transports — a
-// Unix domain stream socket or a TCP stream — so the address grammar,
-// the bind/connect rituals, and the tiny HTTP responder for Prometheus
-// scrapes live here once.
+// The front end both tiers listen through (frontend.cpp) and the blocking
+// client (client.cpp) speak the same two transports — a Unix domain
+// stream socket or a TCP stream — so the address grammar and the
+// bind/connect rituals live here once.
 //
 // Endpoint grammar (one string, used by every CLI flag and config field):
 //   "/run/ocps.sock"        a Unix domain socket path
@@ -17,7 +16,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "util/result.hpp"
@@ -86,13 +84,5 @@ Result<int> connect_endpoint(const Endpoint& ep,
 /// or timeout.
 bool send_all(int fd, const char* data, std::size_t len,
               std::chrono::milliseconds timeout);
-
-/// Minimal HTTP/1.1 responder for the loopback Prometheus listener: one
-/// short-lived connection per scrape. Reads the request head (bounded),
-/// then answers the 405/404/501/200 ladder; `refresh` runs before a 200
-/// scrape so derived gauges are current. Shared by the daemon and the
-/// router so both expose the identical surface.
-void handle_metrics_http_client(int fd, const std::function<bool()>& stop,
-                                const std::function<void()>& refresh);
 
 }  // namespace ocps::serve

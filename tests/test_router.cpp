@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "runtime/fault_injection.hpp"
 #include "serve/client.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -790,6 +791,77 @@ TEST_F(RouterTest, RouterFrontTcpListener) {
   Result<Response> resp = client.value().call(partition_line(1));
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp.value().ok) << resp.value().error;
+  router.stop();
+}
+
+TEST_F(RouterTest, HealthOnlyDrainSummaryCountsInlineOps) {
+  Fleet fleet(1, "hdrain");
+  fleet.start_all();
+  Router router(fast_router_config(fleet, "hdrain_r"));
+  ASSERT_TRUE(router.start().ok());
+
+  Result<Client> client = Client::connect(router.config().socket_path);
+  ASSERT_TRUE(client.ok());
+  for (int i = 0; i < 5; ++i) {
+    Result<Response> h = client.value().call(R"({"op":"health"})");
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(h.value().ok);
+  }
+
+  router.request_stop();
+  router.stop();
+  // The router answers health itself: those requests show up as inline
+  // ops, not as requests that were never forwarded.
+  EXPECT_EQ(drain_summary(router.counters()),
+            "drained: 5 requests, 0 forwarded, 5 inline ops, 0 failovers, "
+            "0 relayed errors, 0 no-backend, 0 all-open, 0 past deadline, "
+            "0 malformed, 0 reloads");
+}
+
+constexpr int kChurnCycles = 10000;
+
+// Runs `cycles` connect -> health -> close rounds, waits until only the
+// `idle` long-lived connections are left open, and returns the process's
+// resource use.
+ProcessStats churn(const std::string& endpoint, int cycles,
+                   std::size_t idle) {
+  for (int i = 0; i < cycles; ++i) {
+    Result<Client> client = Client::connect(endpoint);
+    if (!client.ok()) {
+      ADD_FAILURE() << "cycle " << i << ": " << client.error().message;
+      break;
+    }
+    Result<Response> health = client.value().call(R"({"op":"health"})");
+    if (!health.ok() || !health.value().ok) {
+      ADD_FAILURE() << "cycle " << i << ": health failed";
+      break;
+    }
+  }
+  wait_for([&] { return read_process_stats().live_connections == idle; });
+  return read_process_stats();
+}
+
+TEST_F(RouterTest, ConnectionChurnKeepsThreadsFdsAndMapsFlat) {
+  Fleet fleet(1, "churn");
+  fleet.start_all();
+  Router router(fast_router_config(fleet, "churn_r"));
+  ASSERT_TRUE(router.start().ok());
+  // The health prober's connection to the backend stays open throughout.
+  ASSERT_TRUE(wait_for([] {
+    return read_process_stats().live_connections == 1;
+  }));
+
+  const ProcessStats warm = churn(router.config().socket_path, 200, 1);
+  const ProcessStats end =
+      churn(router.config().socket_path, kChurnCycles, 1);
+  EXPECT_EQ(end.live_connections, 1u);
+  // A finished reader's thread (and its stack mapping) must go when its
+  // connection does: a leak costs two mappings per connection. What may
+  // remain is bounded by the host, not the cycle count: malloc arenas
+  // (up to 8 per core) and glibc's cache of freed thread stacks.
+  EXPECT_LE(end.threads, warm.threads + 2);
+  EXPECT_LE(end.open_fds, warm.open_fds + 2);
+  EXPECT_LE(end.memory_maps, warm.memory_maps + 256);
   router.stop();
 }
 

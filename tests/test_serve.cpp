@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -26,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "runtime/fault_injection.hpp"
 #include "serve/client.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "trace/generators.hpp"
@@ -33,6 +36,8 @@
 
 namespace ocps::serve {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kCapacity = 64;
 
@@ -1046,6 +1051,115 @@ TEST_F(ServeTest, TcpConnectionLimitRefusesWith503) {
   EXPECT_TRUE(still.value().ok);
   server.request_stop();
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Reader lifecycle: one reader thread per connection, reaped when the
+// connection ends rather than when the daemon stops.
+
+constexpr int kChurnCycles = 10000;
+
+// Runs `cycles` connect -> health -> close rounds, waits for the readers
+// to notice the hang-ups, and returns the process's resource use.
+ProcessStats churn(const std::string& endpoint, int cycles) {
+  for (int i = 0; i < cycles; ++i) {
+    Result<Client> client = Client::connect(endpoint);
+    if (!client.ok()) {
+      ADD_FAILURE() << "cycle " << i << ": " << client.error().message;
+      break;
+    }
+    Result<Response> health = client.value().call(R"({"op":"health"})");
+    if (!health.ok() || !health.value().ok) {
+      ADD_FAILURE() << "cycle " << i << ": health failed";
+      break;
+    }
+  }
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
+  while (read_process_stats().live_connections > 0 && Clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  return read_process_stats();
+}
+
+TEST_F(ServeTest, ConnectionChurnKeepsThreadsFdsAndMapsFlat) {
+  ServeConfig config;
+  config.socket_path = unique_socket_path("churn");
+  config.capacity = kCapacity;
+  Server server(config, make_models(2));
+  ASSERT_TRUE(server.start().ok());
+
+  const ProcessStats warm = churn(config.socket_path, 200);
+  const ProcessStats end = churn(config.socket_path, kChurnCycles);
+  EXPECT_EQ(end.live_connections, 0u);
+  // A finished reader's thread (and its stack mapping) must go when its
+  // connection does: a leak costs two mappings per connection. What may
+  // remain is bounded by the host, not the cycle count: malloc arenas
+  // (up to 8 per core) and glibc's cache of freed thread stacks.
+  EXPECT_LE(end.threads, warm.threads + 2);
+  EXPECT_LE(end.open_fds, warm.open_fds + 2);
+  EXPECT_LE(end.memory_maps, warm.memory_maps + 256);
+
+  server.request_stop();
+  server.stop();
+  EXPECT_EQ(server.counters().inline_ops,
+            static_cast<std::uint64_t>(200 + kChurnCycles));
+}
+
+// The VmSize of this process in bytes, from /proc/self/status.
+std::size_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::strtoull(line.c_str() + 7, nullptr, 10) * 1024;
+  return 0;
+}
+
+TEST_F(ServeTest, ReaderSpawnFailureAnswers503AndKeepsServing) {
+  // RLIMIT_AS is process-wide, so the scenario runs in a child; the
+  // threadsafe style re-executes the binary, so the child starts with no
+  // cached thread stacks to hand out.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeConfig config;
+  config.socket_path = unique_socket_path("spawnfail");
+  config.capacity = kCapacity;
+  // TCP, as in the connection-limit test: the refusal may land before
+  // the request is sent, and a TCP send to a closed peer still succeeds.
+  config.listen_address = "127.0.0.1:0";
+  EXPECT_EXIT(
+      {
+        Server server(config, make_models(2));
+        if (!server.start().ok()) std::_Exit(2);
+        const std::string addr =
+            "127.0.0.1:" + std::to_string(server.bound_listen_port());
+        // Leave room for small allocations but not for a reader stack
+        // (at least 2 MiB): pthread_create fails with EAGAIN.
+        rlimit relaxed{};
+        ::getrlimit(RLIMIT_AS, &relaxed);
+        rlimit tight = relaxed;
+        tight.rlim_cur = vm_size_bytes() + (1u << 20);
+        if (::setrlimit(RLIMIT_AS, &tight) != 0) std::_Exit(3);
+        Result<Client> refused = Client::connect(addr);
+        Result<Response> answer =
+            refused.ok() ? refused.value().call(R"({"op":"health"})")
+                         : Result<Response>(refused.error());
+        ::setrlimit(RLIMIT_AS, &relaxed);
+        if (!answer.ok()) {
+          std::fprintf(stderr, "%s\n", answer.error().message.c_str());
+          std::_Exit(4);
+        }
+        if (answer.value().ok || answer.value().code != kCodeShuttingDown ||
+            answer.value().error.find("reader") == std::string::npos)
+          std::_Exit(5);
+        // The daemon is still up and serving new connections.
+        Result<Client> later = Client::connect(addr);
+        if (!later.ok()) std::_Exit(6);
+        Result<Response> health = later.value().call(R"({"op":"health"})");
+        if (!health.ok() || !health.value().ok) std::_Exit(7);
+        server.request_stop();
+        server.stop();
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ServeTest, StalledPartialFrameTimesOutWith400) {

@@ -1028,13 +1028,7 @@ int cmd_router(const ArgParser& args) {
   router.stop();
   g_router.store(nullptr);
 
-  serve::Router::Counters c = router.counters();
-  std::cout << "drained: " << c.requests << " requests, " << c.forwarded
-            << " forwarded, " << c.failovers << " failovers, "
-            << c.relayed_errors << " relayed errors, " << c.no_backend
-            << " no-backend, " << c.all_open << " all-open, "
-            << c.deadline_exceeded << " past deadline, " << c.malformed
-            << " malformed, " << c.reloads << " reloads\n";
+  std::cout << serve::drain_summary(router.counters()) << "\n";
   return 0;
 }
 

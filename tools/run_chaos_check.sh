@@ -17,6 +17,10 @@
 #  * availability >= 95% across the whole run despite the kill;
 #  * the restarted backend is readmitted: router health reports all
 #    backends up with closed breakers at the end;
+#  * connection churn leaves no residue: after a few thousand
+#    short-lived connections to the router and to one backend, neither
+#    process's /proc/<pid>/maps line count or VmSize has grown beyond a
+#    fixed bound (a finished connection's reader thread is reaped);
 #  * the router's Prometheus exposition carries the serve.router.* and
 #    serve.fleet.* series;
 #  * everything drains cleanly on SIGTERM.
@@ -196,6 +200,62 @@ sys.exit(0 if ok else 1)
   sleep 0.2
 done
 [[ -n "$readmitted" ]] || fail "restarted backend was never readmitted"
+
+# --- connection churn --------------------------------------------------------
+# Short-lived connections: partitions through the router (each opens a
+# router->backend lane too) and health probes straight at backend 0.
+# Only resource growth is judged here; chaos resets on the backend are
+# expected and ignored.
+churn_connections="${OCPS_CHAOS_CHURN:-1500}"
+max_maps_growth=100      # /proc/<pid>/maps lines
+max_vm_growth_kb=262144  # 256 MiB of VmSize
+proc_usage() { # pid -> "maps_lines vmsize_kb"
+  echo "$(wc -l < "/proc/$1/maps") $(awk '/^VmSize:/ { print $2 }' \
+    "/proc/$1/status")"
+}
+read -r router_maps0 router_vm0 <<< "$(proc_usage "$router_pid")"
+read -r backend_maps0 backend_vm0 <<< "$(proc_usage "${backend_pids[0]}")"
+python3 - "$workdir/router.sock" "$workdir/b0.sock" "$churn_connections" \
+  <<'EOF'
+import socket, sys
+
+router, backend, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+requests = [
+    (router, b'{"id":1,"op":"partition","programs":["alpha","beta"],'
+             b'"capacity":256}\n'),
+    (backend, b'{"id":2,"op":"health"}\n'),
+]
+answered = 0
+for _ in range(n):
+    for path, line in requests:
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.settimeout(5)
+        try:
+            s.connect(path)
+            s.sendall(line)
+            if s.makefile("rb").readline().endswith(b"\n"):
+                answered += 1
+        except OSError:
+            pass
+        finally:
+            s.close()
+print(f"churned {2 * n} short-lived connections, {answered} answered")
+EOF
+sleep 0.5  # the last readers notice their hang-ups within one poll tick
+read -r router_maps1 router_vm1 <<< "$(proc_usage "$router_pid")"
+read -r backend_maps1 backend_vm1 <<< "$(proc_usage "${backend_pids[0]}")"
+echo "churn: router maps $router_maps0 -> $router_maps1, VmSize" \
+  "$router_vm0 -> $router_vm1 kB; backend maps $backend_maps0 ->" \
+  "$backend_maps1, VmSize $backend_vm0 -> $backend_vm1 kB"
+check_growth() { # who maps0 maps1 vm0 vm1
+  (($3 - $2 <= max_maps_growth)) \
+    || fail "$1 maps grew by $(($3 - $2)) lines under churn"
+  (($5 - $4 <= max_vm_growth_kb)) \
+    || fail "$1 VmSize grew by $(($5 - $4)) kB under churn"
+}
+check_growth router "$router_maps0" "$router_maps1" "$router_vm0" "$router_vm1"
+check_growth backend "$backend_maps0" "$backend_maps1" "$backend_vm0" \
+  "$backend_vm1"
 
 # Fleet-wide Prometheus exposition from the router.
 metrics_port="$(sed -n 's/.*http:\/\/127\.0\.0\.1:\([0-9]*\)\/metrics.*/\1/p' \

@@ -4,7 +4,8 @@
 # against a lightweight schema, then starts a serve daemon, drives it
 # with trace-id-tagged queries, scrapes the live Prometheus endpoint,
 # and validates the exposition format plus the cross-thread request
-# trace trees. Intended as the CI observability job; usable locally the
+# trace trees, and checks that both tiers export the process.* gauges.
+# Intended as the CI observability job; usable locally the
 # same way:
 #
 #   tools/run_observability_check.sh [build-dir]
@@ -34,6 +35,10 @@ cleanup() {
   rm -rf "$workdir"
 }
 trap cleanup EXIT
+
+# Process resource gauges every front end (daemon and router) exports.
+process_series=(process_threads process_open_fds process_resident_bytes
+  process_memory_maps process_live_connections)
 
 # A small deterministic trace: two interleaved scans with different
 # working sets, enough accesses for several controller epochs.
@@ -253,7 +258,7 @@ EOF
     ocps_build_info dp_decisions dp_decision_total dp_decision_reconciled \
     dp_decision_mean_abs_error dp_decision_bias dp_drift_ewma_abs_error \
     dp_drift_breaching dp_drift_alerts_total dp_prediction_error_bucket \
-    dp_prediction_error_window_p99
+    dp_prediction_error_window_p99 "${process_series[@]}"
   # Tagged traffic must leave exemplars on the stage histograms.
   grep -Eq '^serve_stage_[a-z_]+_bucket\{le="[^"]*"\} [0-9]+ # \{trace_id="80[0-9]+"\}' \
     "$workdir/metrics.prom"
@@ -396,6 +401,18 @@ for view in slo_router slo_backend; do
     exit 1
   fi
 done
+
+# The router's exposition carries the same process gauges as the daemon's.
+"$ocps" stats --socket "$workdir/router.sock" > "$workdir/router.prom"
+if command -v python3 > /dev/null; then
+  python3 "$repo_root/tools/check_prometheus_exposition.py" \
+    "$workdir/router.prom" serve_router_requests "${process_series[@]}"
+else
+  for series in "${process_series[@]}"; do
+    grep -q "^$series " "$workdir/router.prom"
+  done
+  echo "OK (grep fallback): router exposition carries the process gauges"
+fi
 
 # The backend that served the routed traffic must attribute its latency
 # to stages just like the standalone daemon.
