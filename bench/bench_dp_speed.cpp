@@ -52,21 +52,6 @@ void BM_DpPartition(benchmark::State& state) {
       static_cast<double>(c);
 }
 
-// Same solve through a warm scratch arena: steady-state allocation-free.
-void BM_DpPartitionWarmScratch(benchmark::State& state) {
-  const std::size_t p = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = static_cast<std::size_t>(state.range(1));
-  CostMatrix cost = make_costs(p, c, 42);
-  DpScratch scratch;
-  optimize_partition(cost.view(), c, {}, scratch);  // warm the arena
-  for (auto _ : state) {
-    DpResult r = optimize_partition(cost.view(), c, {}, scratch);
-    benchmark::DoNotOptimize(r.objective_value);
-  }
-  state.counters["scratch_grows"] =
-      static_cast<double>(scratch.grow_events);
-}
-
 void BM_DpWithBounds(benchmark::State& state) {
   const std::size_t c = static_cast<std::size_t>(state.range(0));
   CostMatrix cost = make_costs(4, c, 43);
@@ -260,9 +245,6 @@ BENCHMARK(BM_DpPartition)
     ->Args({4, 1024})
     ->Args({2, 1024})
     ->Args({8, 1024})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DpPartitionWarmScratch)
-    ->Args({4, 1024})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DpWithBounds)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DpMinimax)->Arg(1024)->Unit(benchmark::kMillisecond);

@@ -27,23 +27,37 @@ namespace ocps {
 std::vector<std::size_t> equal_partition(std::size_t programs,
                                          std::size_t capacity);
 
+/// Minimum allocation implied by one program's baseline share: the
+/// smallest integer c with mr(c) <= mr(share) (1e-12 tolerance, which
+/// absorbs interpolation noise at fractional shares), capped at
+/// ceil(share) so a baseline never demands more than itself.
+std::size_t baseline_min_alloc(const MissRatioCurve& mrc, double share);
+
 /// Per-program minimum allocations implied by a baseline allocation:
-/// min_alloc[i] = smallest c with mr_i(c) <= mr_i(baseline_i). Fractional
-/// baselines (natural occupancies) are supported.
+/// baseline_min_alloc of each member at its share. Fractional baselines
+/// (natural occupancies) are supported.
 std::vector<std::size_t> baseline_min_allocs(
     const CoRunGroup& group, const std::vector<double>& baseline_alloc);
 
+/// Lower bounds for the natural baseline, given the group's natural
+/// (fractional) occupancies at `capacity`: baseline_min_allocs against
+/// the occupancies themselves — the paper's "no worse than free-for-all
+/// sharing". Those bounds can round up across cliffs and sum past C;
+/// then the integerized natural partition is the baseline instead, a
+/// realizable partition whose bounds sum to at most C. The returned
+/// bounds therefore always admit a solve.
+std::vector<std::size_t> natural_baseline_min_allocs(
+    const CoRunGroup& group, const std::vector<double>& natural,
+    std::size_t capacity);
+
 /// Equal-baseline optimization: group-optimal subject to no program being
-/// worse than under the equal partition. Pass a DpScratch to reuse the DP
-/// table across calls (see dp_partition.hpp).
+/// worse than under the equal partition.
 DpResult optimize_equal_baseline(const CoRunGroup& group, CostMatrixView cost,
-                                 std::size_t capacity,
-                                 DpScratch* scratch = nullptr);
+                                 std::size_t capacity);
 
 /// Natural-baseline optimization: group-optimal subject to no program being
 /// worse than under free-for-all sharing (the natural partition).
 DpResult optimize_natural_baseline(const CoRunGroup& group,
-                                   CostMatrixView cost, std::size_t capacity,
-                                   DpScratch* scratch = nullptr);
+                                   CostMatrixView cost, std::size_t capacity);
 
 }  // namespace ocps

@@ -1,7 +1,5 @@
 #include "core/batch_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -14,35 +12,60 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// FNV-1a 64 over the raw bytes of a cost row: a bit-identity check, not
-// a numeric one — any representational change (including -0.0 vs 0.0)
-// counts as a profile change. Deterministic across builds, O(C) per row
-// vs the O(C²) layer rebuild it saves.
+// Word-wise FNV-1a 64 over the raw bits of a cost row: a bit-identity
+// check, not a numeric one — any representational change (including
+// -0.0 vs 0.0) counts as a profile change. Each step (xor a word, then
+// multiply by an odd prime) is a bijection of the running hash, so a
+// change to any single word always changes the result. Deterministic
+// across builds, O(C) per row vs the O(C²) layer rebuild it saves.
 std::uint64_t row_fingerprint(const double* row, std::size_t n) {
   std::uint64_t h = 1469598103934665603ULL;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t bits;
     std::memcpy(&bits, &row[i], sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
+    h ^= bits;
+    h *= 1099511628211ULL;
   }
   return h;
 }
+
+// Throwing form of validate_cost_table for configure/resolve_incremental.
+void check_cost_table(CostMatrixView costs, std::size_t capacity) {
+  Result<CostMatrixView> valid = validate_cost_table(costs, capacity);
+  OCPS_CHECK(valid.ok(), "" << valid.error().message);
+}
+
+// Emits the solve's span and metrics on every exit path: solve latency
+// histogram, cell-evaluation and solve counters, and the table size the
+// solve uses. Cells are read off the solver's running counter at exit.
+// Inert (one branch) when observability is off.
+class DpObsRecorder {
+ public:
+  DpObsRecorder(const std::uint64_t& cells, std::uint64_t table_bytes)
+      : cells_(cells), cells_before_(cells), table_bytes_(table_bytes) {}
+
+  ~DpObsRecorder() {
+    if (!span_.active()) return;
+    const std::uint64_t cells = cells_ - cells_before_;
+    span_.set_arg("cells", cells);
+    OCPS_OBS_COUNT("dp.solves", 1);
+    OCPS_OBS_COUNT("dp.cells", cells);
+    OCPS_OBS_HIST("dp.solve_ns", span_.elapsed_ns());
+    OCPS_OBS_GAUGE("dp.table_bytes", table_bytes_);
+  }
+
+ private:
+  obs::ScopedSpan span_{"dp.optimize", "core"};
+  const std::uint64_t& cells_;
+  const std::uint64_t cells_before_;
+  const std::uint64_t table_bytes_;
+};
 
 }  // namespace
 
 void PrefixDpSolver::configure(CostMatrixView all_costs, std::size_t capacity,
                                DpObjective objective) {
-  OCPS_CHECK(all_costs.cols() >= capacity + 1,
-             "cost table shorter than capacity+1");
-  for (std::size_t i = 0; i < all_costs.rows(); ++i) {
-    const double* row = all_costs.row(i);
-    for (std::size_t c = 0; c <= capacity; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
-  }
+  check_cost_table(all_costs, capacity);
   costs_ = all_costs;
   capacity_ = capacity;
   objective_ = objective;
@@ -54,6 +77,9 @@ void PrefixDpSolver::configure(CostMatrixView all_costs, std::size_t capacity,
 void PrefixDpSolver::solve(const std::uint32_t* members, std::size_t count,
                            const std::size_t* lo, DpResult& out) {
   OCPS_CHECK(count >= 1, "need at least one program");
+  DpObsRecorder obs_rec(stats_.cells,
+                        count * (capacity_ + 1) *
+                            (sizeof(double) + sizeof(std::uint32_t)));
   ++stats_.solves;
   if (dp_detail::active_kernel() == dp_detail::KernelKind::kAvx2)
     OCPS_OBS_COUNT("dp.kernel.avx2", 1);
@@ -162,12 +188,7 @@ std::size_t PrefixDpSolver::resolve_incremental(CostMatrixView new_costs) {
                  << "); use configure()");
   // Same validation configure() performs: a non-finite entry must fail
   // loudly here, never corrupt a min-reduction later.
-  for (std::size_t i = 0; i < new_costs.rows(); ++i) {
-    const double* row = new_costs.row(i);
-    for (std::size_t c = 0; c <= capacity_; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
-  }
+  check_cost_table(new_costs, capacity_);
   costs_ = new_costs;
   std::size_t keep = 0;
   while (keep < valid_layers_ &&

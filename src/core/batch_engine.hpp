@@ -1,5 +1,6 @@
-// Prefix-memoized DP for batched group evaluation (the engine behind
-// sweep_groups).
+// The partitioning DP's one driver, prefix-memoized for batched group
+// evaluation (the engine behind sweep_groups, the serve daemon, the online
+// controller and the one-shot optimize_partition).
 //
 // The Table I sweep solves the same partitioning DP for every co-run
 // group drawn from one program table. The DP table is built one member
@@ -13,10 +14,11 @@
 // that single state (O(C) instead of O(C²/2)).
 //
 // PrefixDpSolver keeps the layer stack from the previous solve and reuses
-// the longest prefix whose (member, lower-bound) pairs match; everything
-// is arena-allocated and reused, so steady-state solves do zero heap
-// allocation. Results are bit-for-bit identical to per-group
-// optimize_partition: both run the same dp_detail::forward_layer kernel.
+// the longest prefix whose (member, lower-bound) pairs match; every
+// buffer is reused, so once each prefix depth has been built steady-state
+// solves do zero heap allocation. Every layer goes through
+// dp_detail::forward_layer (core/dp_kernel.hpp). Each solve emits the
+// `dp.optimize` span and the `dp.*` metrics.
 //
 // Incremental re-solve: each cached layer remembers a fingerprint of the
 // cost row it was built from. When a profile changes between controller
@@ -54,8 +56,8 @@ class PrefixDpSolver {
 
   /// Binds the solver to a cost table (cost(i, c) for every program i in
   /// the table, c = 0..capacity) and an objective. Validates the table
-  /// once (finite entries) so per-solve validation is free. Invalidates
-  /// any cached layers.
+  /// once (validate_cost_table, throwing CheckError on rejection) so
+  /// per-solve validation is free. Invalidates any cached layers.
   void configure(CostMatrixView all_costs, std::size_t capacity,
                  DpObjective objective);
 
@@ -79,8 +81,9 @@ class PrefixDpSolver {
   /// estimates — keeping every cached layer whose cost row is
   /// bit-identical to the one it was built from (per-layer fingerprint
   /// diff; in-place mutation of the old table is safe because the
-  /// fingerprint was taken at build time). Layers from the first changed
-  /// row onward are invalidated. Validates the new table like
+  /// fingerprint was taken at build time; any change to a single 64-bit
+  /// word, 0.0 → -0.0 included, is detected). Layers from the first
+  /// changed row onward are invalidated. Validates the new table like
   /// configure(). Returns the number of layers invalidated. Use
   /// configure() when capacity, objective, or table shape change.
   std::size_t resolve_incremental(CostMatrixView new_costs);

@@ -1,9 +1,9 @@
 // The forward-layer min-plus kernel behind the partitioning DP, with
 // runtime SIMD dispatch.
 //
-// Every DP in the repo — optimize_partition, the prefix-memoized
-// PrefixDpSolver, and everything layered on them — funnels through one
-// inner recurrence:
+// Every DP in the repo runs on PrefixDpSolver (core/batch_engine.hpp; its
+// one-shot form is optimize_partition), the only caller of forward_layer,
+// which funnels through one inner recurrence:
 //
 //   next[k] = min over c in [lo, min(hi, k)] of
 //             combine(prev[k - c], cost_row[c]),   ties -> smallest c

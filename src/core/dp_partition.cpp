@@ -3,168 +3,48 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "combinatorics/enumerate.hpp"
+#include "core/batch_engine.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace ocps {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Resolves DpOptions bounds into scratch.lo / scratch.hi.
-void resolve_bounds(std::size_t programs, std::size_t capacity,
-                    const DpOptions& options, DpScratch& scratch) {
-  scratch.lo.assign(programs, 0);
-  scratch.hi.assign(programs, capacity);
-  if (!options.min_alloc.empty()) {
-    OCPS_CHECK(options.min_alloc.size() == programs,
-               "min_alloc size mismatch");
-    scratch.lo.assign(options.min_alloc.begin(), options.min_alloc.end());
-  }
-  if (!options.max_alloc.empty()) {
-    OCPS_CHECK(options.max_alloc.size() == programs,
-               "max_alloc size mismatch");
-    scratch.hi.assign(options.max_alloc.begin(), options.max_alloc.end());
-  }
-  // Infeasible bounds (lo > hi, or Σlo > capacity) are reported by the
-  // optimizers via feasible == false rather than rejected here.
-  for (std::size_t i = 0; i < programs; ++i)
-    scratch.hi[i] = std::min(scratch.hi[i], capacity);
-}
-
-// Emits the DP's span and metrics on every exit path: solve latency
-// histogram, cell-evaluation and solve counters, and the table size the
-// solve uses. Inert (one branch) when observability is off.
-struct DpObsRecorder {
-  obs::ScopedSpan span{"dp.optimize", "core"};
-  std::uint64_t cells = 0;
-  std::uint64_t table_bytes = 0;
-
-  ~DpObsRecorder() {
-    if (!span.active()) return;
-    span.set_arg("cells", cells);
-    OCPS_OBS_COUNT("dp.solves", 1);
-    OCPS_OBS_COUNT("dp.cells", cells);
-    OCPS_OBS_HIST("dp.solve_ns", span.elapsed_ns());
-    OCPS_OBS_GAUGE("dp.table_bytes", table_bytes);
-  }
-};
-
-void validate_costs(CostMatrixView cost, std::size_t capacity) {
-  const std::size_t p = cost.rows();
-  OCPS_CHECK(p >= 1, "need at least one program");
-  OCPS_CHECK(cost.cols() >= capacity + 1,
-             "cost curves shorter than capacity+1");
-  for (std::size_t i = 0; i < p; ++i) {
+Result<CostMatrixView> validate_cost_table(CostMatrixView cost,
+                                           std::size_t capacity) {
+  if (cost.rows() == 0)
+    return Err(ErrorCode::kInvalidArgument, "no cost curves given");
+  if (cost.cols() < capacity + 1)
+    return Err(ErrorCode::kInvalidArgument,
+               "cost curves shorter than capacity+1");
+  for (std::size_t i = 0; i < cost.rows(); ++i) {
     const double* row = cost.row(i);
-    // NaN/inf in a cost curve would silently corrupt the min-reduction;
-    // fail loudly instead.
     for (std::size_t c = 0; c <= capacity; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
+      if (!std::isfinite(row[c]))
+        return Err(ErrorCode::kCorruptData,
+                   "non-finite cost at program " + std::to_string(i) +
+                       ", c=" + std::to_string(c));
   }
-}
-
-}  // namespace
-
-void DpScratch::reserve(std::size_t programs, std::size_t capacity) {
-  const std::size_t cols = capacity + 1;
-  bool grew = best.capacity() < cols || next.capacity() < cols ||
-              choice.capacity() < programs * cols ||
-              row_ptrs.capacity() < programs;
-  if (grew) {
-    ++grow_events;
-    OCPS_OBS_COUNT("dp.scratch_grow", 1);
-  }
-  best.resize(cols);
-  next.resize(cols);
-  choice.resize(programs * cols);
-  if (row_ptrs.capacity() < programs) row_ptrs.reserve(programs);
-}
-
-namespace {
-
-// Records which forward-layer kernel this solve dispatched to. The
-// counter pair (dp.kernel.avx2 / dp.kernel.scalar) counts solves, not
-// layers, so `ocps stats` and Prometheus show which path production is
-// actually on without per-layer overhead.
-void count_kernel_solve() {
-  if (dp_detail::active_kernel() == dp_detail::KernelKind::kAvx2)
-    OCPS_OBS_COUNT("dp.kernel.avx2", 1);
-  else
-    OCPS_OBS_COUNT("dp.kernel.scalar", 1);
-}
-
-}  // namespace
-
-DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
-                            const DpOptions& options, DpScratch& scratch) {
-  const std::size_t p = cost.rows();
-  DpObsRecorder obs_rec;
-  count_kernel_solve();
-  validate_costs(cost, capacity);
-  resolve_bounds(p, capacity, options, scratch);
-  scratch.reserve(p, capacity);
-  obs_rec.table_bytes =
-      (capacity + 1) * (p * sizeof(std::uint32_t) + 2 * sizeof(double));
-
-  // best[k] = optimal objective over the first i programs using exactly k
-  // units; choice row i holds the units given to program i in that
-  // optimum. The final layer only ever feeds the backtrack at
-  // k = capacity, so it is computed for that single state.
-  std::fill(scratch.best.begin(), scratch.best.begin() + capacity + 1,
-            kInf);
-  scratch.best[0] = 0.0;
-
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::size_t lo = scratch.lo[i];
-    const std::size_t hi = scratch.hi[i];
-    if (lo > capacity || lo > hi) {
-      return DpResult{};  // infeasible bounds
-    }
-    std::uint32_t* choice_row = scratch.choice.data() + i * (capacity + 1);
-    const bool final_layer = (i + 1 == p);
-    const std::size_t k_begin = final_layer ? capacity : lo;
-    if (!final_layer)
-      std::fill(scratch.next.begin(),
-                scratch.next.begin() + capacity + 1, kInf);
-    obs_rec.cells += dp_detail::forward_layer(
-        options.objective, cost.row(i), lo, hi, k_begin, capacity,
-        /*prev_is_base=*/i == 0, scratch.best.data(), scratch.next.data(),
-        choice_row);
-    if (final_layer && i == 0) {
-      // Single-program solve: the base fast path only writes [lo, hi];
-      // state `capacity` may be outside it.
-      if (capacity > hi) scratch.next[capacity] = kInf;
-    }
-    scratch.best.swap(scratch.next);
-  }
-
-  if (scratch.best[capacity] == kInf) return DpResult{};
-
-  DpResult result;
-  result.feasible = true;
-  result.objective_value = scratch.best[capacity];
-  result.alloc.assign(p, 0);
-  std::size_t k = capacity;
-  for (std::size_t i = p; i-- > 0;) {
-    std::size_t c = scratch.choice[i * (capacity + 1) + k];
-    result.alloc[i] = c;
-    OCPS_CHECK(c <= k, "backtrack inconsistency");
-    k -= c;
-  }
-  OCPS_CHECK(k == 0, "allocation does not sum to capacity");
-  return result;
+  return cost;
 }
 
 DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
                             const DpOptions& options) {
-  DpScratch scratch;
-  return optimize_partition(cost, capacity, options, scratch);
+  const std::size_t p = cost.rows();
+  OCPS_CHECK(options.min_alloc.empty() || options.min_alloc.size() == p,
+             "min_alloc size mismatch");
+  PrefixDpSolver solver;
+  solver.configure(cost, capacity, options.objective);
+  std::vector<std::uint32_t> members(p);
+  std::iota(members.begin(), members.end(), 0u);
+  DpResult result;
+  solver.solve(members.data(), p,
+               options.min_alloc.empty() ? nullptr : options.min_alloc.data(),
+               result);
+  return result;
 }
 
 Result<DpResult> try_optimize_partition(CostMatrixView cost,
@@ -173,52 +53,37 @@ Result<DpResult> try_optimize_partition(CostMatrixView cost,
   // Validate up front with error values; anything optimize_partition would
   // reject via OCPS_CHECK must be caught here first so the online path
   // never unwinds through the DP.
-  const std::size_t p = cost.rows();
-  auto reject = [](ErrorCode code, std::string message) {
+  auto reject = [](Error error) {
     OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(code, std::move(message));
+    return error;
   };
-  if (p == 0)
-    return reject(ErrorCode::kInvalidArgument, "no cost curves given");
-  if (cost.cols() < capacity + 1)
-    return reject(ErrorCode::kInvalidArgument,
-                  "cost curves shorter than capacity+1");
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = cost.row(i);
-    for (std::size_t c = 0; c <= capacity; ++c)
-      if (!std::isfinite(row[c]))
-        return reject(ErrorCode::kCorruptData,
-                      "non-finite cost at program " + std::to_string(i) +
-                          ", c=" + std::to_string(c));
-  }
-  if (!options.min_alloc.empty() && options.min_alloc.size() != p)
-    return reject(ErrorCode::kInvalidArgument, "min_alloc size mismatch");
-  if (!options.max_alloc.empty() && options.max_alloc.size() != p)
-    return reject(ErrorCode::kInvalidArgument, "max_alloc size mismatch");
+  Result<CostMatrixView> valid = validate_cost_table(cost, capacity);
+  if (!valid.ok()) return reject(valid.error());
+  if (!options.min_alloc.empty() && options.min_alloc.size() != cost.rows())
+    return reject(
+        Err(ErrorCode::kInvalidArgument, "min_alloc size mismatch"));
 
   DpResult result;
   try {
     result = optimize_partition(cost, capacity, options);
   } catch (const CheckError& e) {
-    OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(ErrorCode::kInternal, e.what());
+    return reject(Err(ErrorCode::kInternal, e.what()));
   }
-  if (!result.feasible) {
-    OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(ErrorCode::kInfeasible,
-               "allocation bounds admit no partition of capacity " +
-                   std::to_string(capacity));
-  }
+  if (!result.feasible)
+    return reject(Err(ErrorCode::kInfeasible,
+                      "allocation bounds admit no partition of capacity " +
+                          std::to_string(capacity)));
   return Ok(std::move(result));
 }
 
 DpResult optimize_partition_exhaustive(CostMatrixView cost,
                                        std::size_t capacity,
                                        const DpOptions& options) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t p = cost.rows();
   OCPS_CHECK(p >= 1, "need at least one program");
-  DpScratch scratch;
-  resolve_bounds(p, capacity, options, scratch);
+  OCPS_CHECK(options.min_alloc.empty() || options.min_alloc.size() == p,
+             "min_alloc size mismatch");
 
   DpResult best;
   best.objective_value = kInf;
@@ -227,18 +92,15 @@ DpResult optimize_partition_exhaustive(CostMatrixView cost,
       [&](const std::vector<std::uint32_t>& alloc) {
         double value = (options.objective == DpObjective::kSumCost) ? 0.0
                                                                     : -kInf;
-        bool ok = true;
         for (std::size_t i = 0; i < p; ++i) {
           std::size_t c = alloc[i];
-          if (c < scratch.lo[i] || c > scratch.hi[i]) {
-            ok = false;
-            break;
-          }
+          if (!options.min_alloc.empty() && c < options.min_alloc[i])
+            return true;
           value = (options.objective == DpObjective::kSumCost)
                       ? value + cost(i, c)
                       : std::max(value, cost(i, c));
         }
-        if (ok && value < best.objective_value) {
+        if (value < best.objective_value) {
           best.feasible = true;
           best.objective_value = value;
           best.alloc.assign(alloc.begin(), alloc.end());

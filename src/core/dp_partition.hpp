@@ -10,20 +10,20 @@
 //   * kSumCost     — Σ_i cost_i(c_i)      (throughput: total miss count)
 //   * kMaxCost     — max_i cost_i(c_i)    (QoS: worst member)
 //
-// Per-program allocation bounds [min_alloc_i, max_alloc_i] express the
-// baseline-fairness constraints of §VI (see baselines.hpp) and any QoS
-// floor a caller wants.
+// Per-program lower bounds min_alloc_i express the baseline-fairness
+// constraints of §VI (see baselines.hpp) and any QoS floor a caller
+// wants. With lower bounds only, a solve is feasible exactly when
+// Σ min_alloc_i <= C.
 //
 // Cost curves are passed as a CostMatrixView (core/cost_matrix.hpp);
 // build one with CostMatrix::from_rows when starting from nested
-// vectors. Repeated solvers (the
-// group sweep, the online controller) pass a DpScratch so the DP table
-// never reallocates between solves; core/batch_engine.hpp additionally
-// shares DP layers between solves whose program prefixes match.
+// vectors. The one DP driver is PrefixDpSolver (core/batch_engine.hpp);
+// optimize_partition is its one-shot form. Repeated solvers (the group
+// sweep, the serve daemon, the online controller) keep a PrefixDpSolver
+// so its layers are reused between solves.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/cost_matrix.hpp"
@@ -33,11 +33,10 @@
 
 namespace ocps {
 
-/// Optimizer knobs. Empty bound vectors mean 0 / C for every program.
+/// Optimizer knobs. An empty min_alloc means 0 for every program.
 struct DpOptions {
   DpObjective objective = DpObjective::kSumCost;
   std::vector<std::size_t> min_alloc;  ///< per-program lower bounds
-  std::vector<std::size_t> max_alloc;  ///< per-program upper bounds
 };
 
 /// Result of an optimization.
@@ -47,34 +46,22 @@ struct DpResult {
   double objective_value = 0.0;
 };
 
-/// Reusable solver arena: the DP table buffers, grown on demand and never
-/// shrunk, so back-to-back solves of the same shape do zero heap
-/// allocation in the hot loop. grow_events counts reallocation episodes
-/// (mirrored in obs counter `dp.scratch_grow`): in a steady-state sweep
-/// it stops increasing after the first solve per thread.
-struct DpScratch {
-  std::vector<double> best;
-  std::vector<double> next;
-  std::vector<std::uint32_t> choice;  ///< flat programs × (capacity+1)
-  std::vector<std::size_t> lo;
-  std::vector<std::size_t> hi;
-  std::vector<const double*> row_ptrs;  ///< for gathered views
-  std::uint64_t grow_events = 0;
+/// Checks a cost table for a solve at `capacity`: at least one row
+/// (kInvalidArgument "no cost curves given"), at least capacity+1 columns
+/// (kInvalidArgument), and every entry in columns 0..capacity finite
+/// (kCorruptData — NaN/inf would silently corrupt the min-reduction).
+/// Returns the view itself on success. The throwing entry points wrap it
+/// with OCPS_CHECK.
+Result<CostMatrixView> validate_cost_table(CostMatrixView cost,
+                                           std::size_t capacity);
 
-  /// Ensures capacity for a (programs, capacity) solve.
-  void reserve(std::size_t programs, std::size_t capacity);
-};
-
-/// Runs the DP. cost must have rows >= 1 and cols >= capacity+1;
-/// cost(i, c) is the cost of giving program i exactly c units. Throws
-/// CheckError on malformed input; returns feasible == false when the
-/// bounds admit no allocation.
+/// Runs the DP once: a PrefixDpSolver configured on `cost`, solving
+/// programs 0..rows-1. cost(i, c) is the cost of giving program i exactly
+/// c units. Throws CheckError on a table validate_cost_table rejects or a
+/// min_alloc of the wrong size; returns feasible == false when the bounds
+/// admit no allocation.
 DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
                             const DpOptions& options = {});
-
-/// Same, with caller-owned scratch (no table allocation once warm).
-DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
-                            const DpOptions& options, DpScratch& scratch);
 
 /// Guarded entry point for the runtime path. Same optimization as
 /// optimize_partition, but every failure mode — malformed cost curves
@@ -92,11 +79,5 @@ Result<DpResult> try_optimize_partition(CostMatrixView cost,
 DpResult optimize_partition_exhaustive(CostMatrixView cost,
                                        std::size_t capacity,
                                        const DpOptions& options = {});
-
-// The forward-layer kernel shared between the per-solve DP and the
-// prefix-memoized batch engine lives in core/dp_kernel.hpp (included
-// above): dp_detail::forward_layer dispatches between the pinned scalar
-// reference and the AVX2 kernel at runtime, and every kernel produces
-// bit-identical tables.
 
 }  // namespace ocps

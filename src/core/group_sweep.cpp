@@ -1,7 +1,6 @@
 #include "core/group_sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <array>
 #include <map>
 
 #include "core/baselines.hpp"
@@ -52,10 +51,10 @@ MethodOutcome outcome_from_alloc(const CoRunGroup& group,
   return out;
 }
 
-// Per-thread sweep state: the prefix-sharing DP solvers, the
-// natural-baseline scratch, and every reusable buffer, so steady-state
-// group evaluation performs no DP-table allocation. Destroyed at loop
-// end; the destructor flushes the layer-sharing counters to obs.
+// Per-thread sweep state: one prefix-sharing DP solver per DP method and
+// every reusable buffer, so steady-state group evaluation performs no
+// DP-table allocation. Destroyed at loop end; the destructor flushes the
+// layer-sharing counters to obs.
 struct BatchContext {
   const std::vector<ProgramModel>& programs;
   const CostMatrix& unit_costs;
@@ -63,7 +62,7 @@ struct BatchContext {
 
   PrefixDpSolver optimal;
   PrefixDpSolver equal_baseline;
-  DpScratch nb_scratch;
+  PrefixDpSolver natural_baseline;
   DpResult dp_buf;
   std::vector<const double*> row_ptrs;
   std::vector<std::size_t> lo_buf;
@@ -75,26 +74,30 @@ struct BatchContext {
   BatchContext(const std::vector<ProgramModel>& programs_,
                const CostMatrix& unit_costs_, std::size_t capacity_)
       : programs(programs_), unit_costs(unit_costs_), capacity(capacity_) {
-    optimal.configure(unit_costs.view(), capacity, DpObjective::kSumCost);
-    equal_baseline.configure(unit_costs.view(), capacity,
-                             DpObjective::kSumCost);
+    for (PrefixDpSolver* solver : solvers())
+      solver->configure(unit_costs.view(), capacity, DpObjective::kSumCost);
   }
 
   ~BatchContext() {
-    std::uint64_t computed = optimal.stats().layers_computed +
-                             equal_baseline.stats().layers_computed;
-    std::uint64_t reused =
-        optimal.stats().layers_reused + equal_baseline.stats().layers_reused;
+    std::uint64_t computed = 0, reused = 0;
+    for (const PrefixDpSolver* solver : solvers()) {
+      computed += solver->stats().layers_computed;
+      reused += solver->stats().layers_reused;
+    }
     if (computed > 0) OCPS_OBS_COUNT("sweep.dp_layers_computed", computed);
     if (reused > 0) OCPS_OBS_COUNT("sweep.dp_layers_reused", reused);
   }
 
+  std::array<PrefixDpSolver*, 3> solvers() {
+    return {&optimal, &equal_baseline, &natural_baseline};
+  }
+
   // Lower bounds implied by the equal-partition baseline, position by
-  // position. Same arithmetic as baseline_min_allocs: the equal share of
-  // position j depends only on the group size, so the bound is a pure
-  // (program, position) function — shareable across every group of that
-  // size, unlike the natural baseline whose shares depend on the whole
-  // group.
+  // position (baseline_min_alloc, as in baseline_min_allocs): the equal
+  // share of position j depends only on the group size, so the bound is
+  // a pure (program, position) function — shareable across every group
+  // of that size, unlike the natural baseline whose shares depend on the
+  // whole group.
   const std::vector<std::size_t>& equal_lo_table(std::size_t group_size) {
     auto it = equal_lo.find(group_size);
     if (it != equal_lo.end()) return it->second;
@@ -102,23 +105,18 @@ struct BatchContext {
     std::vector<std::size_t> table(programs.size() * group_size);
     for (std::size_t m = 0; m < programs.size(); ++m) {
       const auto& mrc = programs[m].mrc;
-      for (std::size_t j = 0; j < group_size; ++j) {
-        double share = static_cast<double>(shares[j]);
-        double baseline_mr = mrc.ratio_at(share);
-        std::size_t min_alloc = mrc.min_size_for_ratio(baseline_mr, 1e-12);
-        std::size_t ceil_base =
-            static_cast<std::size_t>(std::ceil(share - 1e-9));
-        table[m * group_size + j] = std::min(min_alloc, ceil_base);
-      }
+      for (std::size_t j = 0; j < group_size; ++j)
+        table[m * group_size + j] =
+            baseline_min_alloc(mrc, static_cast<double>(shares[j]));
     }
     return equal_lo.emplace(group_size, std::move(table)).first->second;
   }
 };
 
 // The six-method evaluation, batched: identical computations (and
-// results) to the standalone evaluate_group, but Optimal and
-// Equal-baseline go through the prefix-sharing solvers and every view is
-// gathered from the flat table instead of copied.
+// results) to the standalone evaluate_group, but the three DP methods go
+// through the prefix-sharing solvers and every view is gathered from the
+// flat table instead of copied.
 GroupEvaluation evaluate_group_batched(
     BatchContext& ctx, const std::vector<std::uint32_t>& members) {
   OCPS_CHECK(!members.empty(), "empty group");
@@ -171,13 +169,18 @@ GroupEvaluation evaluate_group_batched(
         outcome_from_alloc(group, ctx.dp_buf.alloc);
   }
 
-  // Natural baseline: bounds depend on the whole group, so no prefix
-  // sharing — but the DP table comes from the per-thread scratch.
+  // Natural baseline: bounds depend on the whole group (and are chosen
+  // from the Natural method's occupancies above), so prefixes are shared
+  // only where the (member, bound) pairs happen to match.
   {
-    DpResult dp =
-        optimize_natural_baseline(group, cost, capacity, &ctx.nb_scratch);
+    ctx.lo_buf = natural_baseline_min_allocs(
+        group, eval.of(Method::kNatural).alloc, capacity);
+    ctx.natural_baseline.solve(members.data(), p, ctx.lo_buf.data(),
+                               ctx.dp_buf);
+    OCPS_CHECK(ctx.dp_buf.feasible,
+               "baseline-constrained DP infeasible; baseline sums beyond C?");
     eval.methods[static_cast<std::size_t>(Method::kNaturalBaseline)] =
-        outcome_from_alloc(group, dp.alloc);
+        outcome_from_alloc(group, ctx.dp_buf.alloc);
   }
 
   // Optimal (unconstrained DP), prefix-shared.

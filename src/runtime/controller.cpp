@@ -313,10 +313,9 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
           } else {
             dp_solver.resolve_incremental(ewma_cost.view());
           }
+          // The solver emits dp.solves / dp.solve_ns itself.
           dp_solver.solve(dp_members.data(), p,
                           dp_lo.empty() ? nullptr : dp_lo.data(), dp_buf);
-          OCPS_OBS_COUNT("dp.solves", 1);
-          OCPS_OBS_HIST("dp.solve_ns", span.elapsed_ns());
         } catch (const CheckError& e) {
           OCPS_OBS_COUNT("dp.errors", 1);
           return Result<DpResult>(ErrorCode::kInternal, e.what());
@@ -427,7 +426,7 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
         std::move(rec), obs::DecisionLog::steady_now_ns());
   }
 
-  std::uint64_t segment_start_ns = obs::now_ns();
+  [[maybe_unused]] std::uint64_t segment_start_ns = obs::now_ns();
   for (std::size_t t = 0; t < trace.length(); ++t) {
     if (t > 0 && (t % config.epoch_length) == 0) {
       end_epoch();

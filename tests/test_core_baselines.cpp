@@ -101,6 +101,33 @@ TEST(BaselineOpt, NaturalBaselineNeverHurtsAnyone) {
         << "program " << i;
 }
 
+TEST(BaselineOpt, NaturalBaselineFallsBackToIntegerizedShares) {
+  // Cliffs just above each fractional occupancy make both bounds round
+  // up (2 + 3 units) past C = 4; the integerized natural partition is
+  // the baseline then, and its bounds admit a solve.
+  ProgramModel a, b;
+  a.mrc = MissRatioCurve({1.0, 0.9, 0.1, 0.05, 0.0}, 100);
+  b.mrc = MissRatioCurve({1.0, 0.95, 0.9, 0.2, 0.0}, 100);
+  CoRunGroup g({&a, &b});
+  const std::vector<double> natural = {1.5, 2.5};
+  const auto direct = baseline_min_allocs(g, natural);
+  ASSERT_EQ(direct, (std::vector<std::size_t>{2, 3}));
+
+  const auto integral = integerize_partition(natural, 4);
+  const auto bounds = natural_baseline_min_allocs(g, natural, 4);
+  EXPECT_EQ(bounds,
+            baseline_min_allocs(
+                g, std::vector<double>(integral.begin(), integral.end())));
+  EXPECT_LE(bounds[0] + bounds[1], 4u);
+  CostMatrix cost = weighted_cost_matrix({&a.mrc, &b.mrc}, {1.0, 1.0}, 4);
+  DpOptions options;
+  options.min_alloc = bounds;
+  EXPECT_TRUE(optimize_partition(cost.view(), 4, options).feasible);
+
+  // With room for the fractional bounds, they are kept as they are.
+  EXPECT_EQ(natural_baseline_min_allocs(g, natural, 5), direct);
+}
+
 TEST(BaselineOpt, ConstrainedBetweenBaselineAndOptimal) {
   Fixture f;
   CoRunGroup g = f.group();

@@ -11,6 +11,7 @@
 // NaN divergence cannot hide.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -102,16 +103,19 @@ TEST(DpKernelDispatch, TestOverrideForcesKernelAndResetRestoresAuto) {
   EXPECT_EQ(dp_detail::active_kernel(), KernelKind::kScalar);
 
   dp_detail::set_kernel_for_testing(KernelKind::kAvx2);
-  if (dp_detail::cpu_supports_avx2())
+  if (dp_detail::cpu_supports_avx2()) {
     EXPECT_EQ(dp_detail::active_kernel(), KernelKind::kAvx2);
-  else
+  } else {
     // A forced AVX2 on a CPU without it degrades to scalar, not a fault.
     EXPECT_EQ(dp_detail::active_kernel(), KernelKind::kScalar);
+  }
 
   dp_detail::reset_kernel_for_testing();
   // Post-reset dispatch re-resolves; whatever it picks must be runnable.
   KernelKind k = dp_detail::active_kernel();
-  if (!dp_detail::cpu_supports_avx2()) EXPECT_EQ(k, KernelKind::kScalar);
+  if (!dp_detail::cpu_supports_avx2()) {
+    EXPECT_EQ(k, KernelKind::kScalar);
+  }
 }
 
 TEST(DpKernelDispatch, KernelNamesAreStable) {
@@ -286,7 +290,6 @@ TEST(DpKernelParity, FullSolveIdenticalAcrossKernels) {
   }
   DpOptions options;
   options.min_alloc.assign(p, 2);
-  options.max_alloc.assign(p, capacity - 4);
 
   dp_detail::set_kernel_for_testing(KernelKind::kScalar);
   DpResult scalar = optimize_partition(costs.view(), capacity, options);
@@ -424,6 +427,38 @@ TEST_F(IncrementalResolveTest, EveryChangePositionMatchesColdSolve) {
         changed + 1 < kPrograms ? kPrograms - 1 - changed : 0;
     EXPECT_EQ(solver.resolve_incremental(costs_.view()), expect_invalidated)
         << "changed=" << changed;
+    solver.solve(members_.data(), kPrograms, nullptr, result);
+    expect_same_result(result, cold_solve());
+  }
+}
+
+TEST_F(IncrementalResolveTest, OneBitChangesInvalidateExactlyTheSuffix) {
+  // The fingerprint is a bit-identity check: a 1-ULP change, and
+  // 0.0 → -0.0 (equal as numbers), in one cell must each drop the suffix
+  // from that program's position on, and nothing before it.
+  struct Case {
+    std::size_t program;
+    double before;
+    double after;
+  };
+  const double ulp_base = costs_.row(3)[kCapacity / 3];
+  const Case cases[] = {
+      {3, ulp_base,
+       std::nextafter(ulp_base, std::numeric_limits<double>::infinity())},
+      {2, 0.0, -0.0},
+  };
+  for (const Case& c : cases) {
+    SetUp();  // fresh table
+    costs_.row(c.program)[kCapacity / 3] = c.before;
+    PrefixDpSolver solver;
+    solver.configure(costs_.view(), kCapacity, DpObjective::kSumCost);
+    DpResult result;
+    solver.solve(members_.data(), kPrograms, nullptr, result);
+
+    costs_.row(c.program)[kCapacity / 3] = c.after;
+    EXPECT_EQ(solver.resolve_incremental(costs_.view()),
+              kPrograms - 1 - c.program)
+        << "program " << c.program;
     solver.solve(members_.data(), kPrograms, nullptr, result);
     expect_same_result(result, cold_solve());
   }
