@@ -1,39 +1,76 @@
 #include "core/phase_aware.hpp"
 
+#include <algorithm>
+
 #include "core/dp_partition.hpp"
+#include "core/group_sweep.hpp"
 #include "locality/footprint.hpp"
 #include "util/check.hpp"
 
 namespace ocps {
 
+namespace {
+
+// The DP over one epoch's models, each costed at access rate × miss ratio.
+DpResult optimize_epoch(const std::vector<ProgramModel>& models,
+                        std::size_t capacity) {
+  CostMatrix cost = precompute_unit_cost_matrix(models, capacity);
+  DpResult dp = optimize_partition(cost.view(), capacity);
+  OCPS_CHECK(dp.feasible, "per-epoch DP must be feasible");
+  return dp;
+}
+
+// Per-program LRU partitions sized by allocs[0], resized to allocs[e] at
+// interleaved position switch_at[e-1].
+CoRunResult simulate_switching(
+    const InterleavedTrace& trace,
+    const std::vector<std::vector<std::size_t>>& allocs,
+    const std::vector<std::size_t>& switch_at, std::size_t p,
+    const CoRunOptions& options) {
+  OCPS_CHECK(!allocs.empty(), "empty plan");
+  for (const auto& alloc : allocs)
+    OCPS_CHECK(alloc.size() == p, "ragged plan");
+
+  std::vector<LruCache> partitions;
+  partitions.reserve(p);
+  for (std::size_t i = 0; i < p; ++i) partitions.emplace_back(allocs[0][i]);
+
+  CoRunResult out;
+  out.accesses.assign(p, 0);
+  out.misses.assign(p, 0);
+  std::size_t epoch = 0;
+  for (std::size_t t = 0; t < trace.length(); ++t) {
+    while (epoch < switch_at.size() && t >= switch_at[epoch]) {
+      ++epoch;
+      for (std::size_t i = 0; i < p; ++i)
+        partitions[i].set_capacity(allocs[epoch][i]);
+    }
+    std::uint32_t who = trace.owners[t];
+    OCPS_CHECK(who < p, "owner outside plan");
+    bool hit = partitions[who].access(trace.blocks[t]);
+    if (t >= options.warmup) {
+      ++out.accesses[who];
+      if (!hit) ++out.misses[who];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 EpochProfile profile_epochs(const std::vector<Trace>& traces,
                             const std::vector<double>& rates,
                             std::size_t epochs, std::size_t capacity) {
   OCPS_CHECK(!traces.empty(), "no traces");
-  OCPS_CHECK(traces.size() == rates.size(), "rates must parallel traces");
   OCPS_CHECK(epochs >= 1, "need at least one epoch");
-  const std::size_t n = traces[0].length();
-  for (const auto& t : traces)
-    OCPS_CHECK(t.length() == n, "traces must have equal length");
-  OCPS_CHECK(n >= epochs, "more epochs than accesses");
-
+  OCPS_CHECK(traces[0].length() >= epochs, "more epochs than accesses");
   EpochProfile out;
-  out.epoch_length = n / epochs;
-  out.epoch_models.resize(epochs);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    out.epoch_models[e].reserve(traces.size());
-    std::size_t lo = e * out.epoch_length;
-    std::size_t hi = (e + 1 == epochs) ? n : lo + out.epoch_length;
-    for (std::size_t p = 0; p < traces.size(); ++p) {
-      Trace slice;
-      slice.accesses.assign(
-          traces[p].accesses.begin() + static_cast<long>(lo),
-          traces[p].accesses.begin() + static_cast<long>(hi));
-      out.epoch_models[e].push_back(make_program_model(
-          "p" + std::to_string(p) + "@e" + std::to_string(e), rates[p],
-          compute_footprint(slice), capacity));
-    }
-  }
+  out.epoch_length = traces[0].length() / epochs;
+  std::vector<std::size_t> boundaries;
+  for (std::size_t e = 1; e < epochs; ++e)
+    boundaries.push_back(e * out.epoch_length);
+  out.epoch_models =
+      profile_epochs_at(traces, rates, boundaries, capacity).epoch_models;
   return out;
 }
 
@@ -79,18 +116,9 @@ VariablePhasePlan phase_aware_optimize_at(const VariableEpochProfile& profile,
   VariablePhasePlan plan;
   plan.epoch_starts = profile.epoch_starts;
   plan.alloc_per_epoch.resize(profile.num_epochs());
-  for (std::size_t e = 0; e < profile.num_epochs(); ++e) {
-    const auto& models = profile.epoch_models[e];
-    CostMatrix cost(models.size(), capacity);
-    for (std::size_t p = 0; p < models.size(); ++p) {
-      double* row = cost.row(p);
-      for (std::size_t c = 0; c <= capacity; ++c)
-        row[c] = models[p].access_rate * models[p].mrc.ratio(c);
-    }
-    DpResult dp = optimize_partition(cost.view(), capacity);
-    OCPS_CHECK(dp.feasible, "per-epoch DP must be feasible");
-    plan.alloc_per_epoch[e] = dp.alloc;
-  }
+  for (std::size_t e = 0; e < profile.num_epochs(); ++e)
+    plan.alloc_per_epoch[e] =
+        optimize_epoch(profile.epoch_models[e], capacity).alloc;
   return plan;
 }
 
@@ -98,43 +126,15 @@ CoRunResult simulate_variable_partitioned(const InterleavedTrace& trace,
                                           const VariablePhasePlan& plan,
                                           std::size_t num_programs,
                                           const CoRunOptions& options) {
-  OCPS_CHECK(!plan.alloc_per_epoch.empty(), "empty plan");
   OCPS_CHECK(plan.epoch_starts.size() == plan.alloc_per_epoch.size(),
              "plan starts must parallel allocations");
-  const std::size_t p = num_programs;
-  for (const auto& alloc : plan.alloc_per_epoch)
-    OCPS_CHECK(alloc.size() == p, "ragged plan");
-
   // Switch points in interleaved positions: per-program epoch start times
   // scale by the number of interleaved programs.
   std::vector<std::size_t> switch_at;
   for (std::size_t e = 1; e < plan.epoch_starts.size(); ++e)
-    switch_at.push_back(plan.epoch_starts[e] * p);
-
-  std::vector<LruCache> partitions;
-  partitions.reserve(p);
-  for (std::size_t i = 0; i < p; ++i)
-    partitions.emplace_back(plan.alloc_per_epoch[0][i]);
-
-  CoRunResult out;
-  out.accesses.assign(p, 0);
-  out.misses.assign(p, 0);
-  std::size_t epoch = 0;
-  for (std::size_t t = 0; t < trace.length(); ++t) {
-    while (epoch < switch_at.size() && t >= switch_at[epoch]) {
-      ++epoch;
-      for (std::size_t i = 0; i < p; ++i)
-        partitions[i].set_capacity(plan.alloc_per_epoch[epoch][i]);
-    }
-    std::uint32_t who = trace.owners[t];
-    OCPS_CHECK(who < p, "owner outside plan");
-    bool hit = partitions[who].access(trace.blocks[t]);
-    if (t >= options.warmup) {
-      ++out.accesses[who];
-      if (!hit) ++out.misses[who];
-    }
-  }
-  return out;
+    switch_at.push_back(plan.epoch_starts[e] * num_programs);
+  return simulate_switching(trace, plan.alloc_per_epoch, switch_at,
+                            num_programs, options);
 }
 
 PhaseAwarePlan phase_aware_optimize(const EpochProfile& profile,
@@ -144,17 +144,10 @@ PhaseAwarePlan phase_aware_optimize(const EpochProfile& profile,
   plan.alloc_per_epoch.resize(profile.num_epochs());
   double mr_sum = 0.0;
   for (std::size_t e = 0; e < profile.num_epochs(); ++e) {
-    const auto& models = profile.epoch_models[e];
-    CostMatrix cost(models.size(), capacity);
     double rate_sum = 0.0;
-    for (std::size_t p = 0; p < models.size(); ++p) {
-      rate_sum += models[p].access_rate;
-      double* row = cost.row(p);
-      for (std::size_t c = 0; c <= capacity; ++c)
-        row[c] = models[p].access_rate * models[p].mrc.ratio(c);
-    }
-    DpResult dp = optimize_partition(cost.view(), capacity);
-    OCPS_CHECK(dp.feasible, "per-epoch DP must be feasible");
+    for (const ProgramModel& m : profile.epoch_models[e])
+      rate_sum += m.access_rate;
+    DpResult dp = optimize_epoch(profile.epoch_models[e], capacity);
     plan.alloc_per_epoch[e] = dp.alloc;
     mr_sum += dp.objective_value / rate_sum;
   }
@@ -167,38 +160,12 @@ CoRunResult simulate_dynamic_partitioned(const InterleavedTrace& trace,
                                          const CoRunOptions& options) {
   OCPS_CHECK(!plan.alloc_per_epoch.empty(), "empty plan");
   const std::size_t epochs = plan.alloc_per_epoch.size();
-  const std::size_t p = plan.alloc_per_epoch[0].size();
-  for (const auto& alloc : plan.alloc_per_epoch)
-    OCPS_CHECK(alloc.size() == p, "ragged plan");
-
-  std::vector<LruCache> partitions;
-  partitions.reserve(p);
-  for (std::size_t i = 0; i < p; ++i)
-    partitions.emplace_back(plan.alloc_per_epoch[0][i]);
-
-  CoRunResult out;
-  out.accesses.assign(p, 0);
-  out.misses.assign(p, 0);
-
-  const std::size_t n = trace.length();
-  const std::size_t epoch_len = std::max<std::size_t>(1, n / epochs);
-  std::size_t current_epoch = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    std::size_t epoch = std::min(epochs - 1, t / epoch_len);
-    if (epoch != current_epoch) {
-      current_epoch = epoch;
-      for (std::size_t i = 0; i < p; ++i)
-        partitions[i].set_capacity(plan.alloc_per_epoch[epoch][i]);
-    }
-    std::uint32_t who = trace.owners[t];
-    OCPS_CHECK(who < p, "owner outside plan");
-    bool hit = partitions[who].access(trace.blocks[t]);
-    if (t >= options.warmup) {
-      ++out.accesses[who];
-      if (!hit) ++out.misses[who];
-    }
-  }
-  return out;
+  const std::size_t epoch_len =
+      std::max<std::size_t>(1, trace.length() / epochs);
+  std::vector<std::size_t> switch_at;
+  for (std::size_t e = 1; e < epochs; ++e) switch_at.push_back(e * epoch_len);
+  return simulate_switching(trace, plan.alloc_per_epoch, switch_at,
+                            plan.alloc_per_epoch[0].size(), options);
 }
 
 }  // namespace ocps

@@ -2,69 +2,37 @@
 
 #include <algorithm>
 
-#include "locality/hotl.hpp"
 #include "util/check.hpp"
 
 namespace ocps {
 
-namespace {
-
-// HOTL Eq. 10 evaluated on a (possibly downsampled) piecewise-linear
-// footprint: mr(c) = fp(w*+1) - c with fp(w*) = c, floored at the cold-miss
-// ratio and clamped into [0, 1].
-MissRatioCurve mrc_from_curve(const PiecewiseLinear& fp, std::uint64_t n,
-                              std::uint64_t m, std::size_t capacity) {
-  OCPS_CHECK(n > 0, "model needs a non-empty trace");
-  const double cold = static_cast<double>(m) / static_cast<double>(n);
-  std::vector<double> ratios(capacity + 1, 0.0);
-  for (std::size_t c = 0; c <= capacity; ++c) {
-    double cs = static_cast<double>(c);
-    double mr;
-    if (c == 0) {
-      mr = 1.0;
-    } else if (cs >= static_cast<double>(m)) {
-      mr = cold;
-    } else {
-      double w = fp.inverse(cs);
-      mr = std::clamp(fp(w + 1.0) - cs, 0.0, 1.0);
-      mr = std::max(mr, cold);
-    }
-    ratios[c] = mr;
-  }
-  MissRatioCurve mrc(std::move(ratios), n);
-  return mrc.monotone_repaired();
-}
-
-}  // namespace
-
-ProgramModel make_program_model(const std::string& name, double access_rate,
-                                const FootprintCurve& fp,
-                                std::size_t capacity,
-                                std::size_t footprint_knots) {
-  OCPS_CHECK(access_rate > 0.0, "access rate must be positive");
-  ProgramModel model;
-  model.name = name;
-  model.access_rate = access_rate;
-  model.trace_length = fp.trace_length;
-  model.distinct = fp.distinct;
-  model.footprint = fp.to_curve(footprint_knots);
-  // Derive the MRC from the *dense* footprint for maximal fidelity; the
-  // stored footprint may be downsampled for composition.
-  model.mrc = hotl_mrc(fp, capacity);
-  return model;
-}
-
 ProgramModel model_from_footprint_file(const FootprintFile& file,
                                        std::size_t capacity) {
+  OCPS_CHECK(file.access_rate > 0.0, "access rate must be positive");
+  OCPS_CHECK(file.mrc.size() == file.distinct + 1,
+             "footprint file '" << file.name << "' carries "
+                                << file.mrc.size()
+                                << " miss ratios; distinct = "
+                                << file.distinct << " needs distinct + 1");
   ProgramModel model;
   model.name = file.name;
   model.access_rate = file.access_rate;
   model.trace_length = file.trace_length;
   model.distinct = file.distinct;
   model.footprint = file.footprint;
-  model.mrc = mrc_from_curve(file.footprint, file.trace_length, file.distinct,
-                             capacity);
+  // mr(c) = m/n for every c >= m, which is the file curve's last entry.
+  std::vector<double> ratios(capacity + 1);
+  for (std::size_t c = 0; c <= capacity; ++c)
+    ratios[c] = file.mrc[std::min<std::uint64_t>(c, file.distinct)];
+  model.mrc = MissRatioCurve(std::move(ratios), file.trace_length);
   return model;
+}
+
+ProgramModel make_program_model(const std::string& name, double access_rate,
+                                const FootprintCurve& fp,
+                                std::size_t capacity) {
+  return model_from_footprint_file(make_footprint_file(name, access_rate, fp),
+                                   capacity);
 }
 
 }  // namespace ocps

@@ -3,9 +3,9 @@
 // solo miss-ratio curve mr(c).
 //
 // This mirrors exactly what the paper's pipeline profiles per program
-// (§VII-A): the footprint file plus the derived MRC. Everything downstream
-// — natural partitions, DP, STTW, baselines, the group sweep — consumes
-// ProgramModel and never the raw trace, which is what makes the
+// (§VII-A): the footprint file, which carries the derived MRC. Everything
+// downstream — natural partitions, DP, STTW, baselines, the group sweep —
+// consumes ProgramModel and never the raw trace, which is what makes the
 // 1820-group evaluation cheap.
 #pragma once
 
@@ -31,21 +31,20 @@ struct ProgramModel {
 
   /// fp evaluated at (possibly fractional) window length w.
   double fp(double w) const { return footprint(w); }
-
-  /// Smallest window with footprint >= target (fill time, Eq. 6).
-  double fp_inverse(double target) const { return footprint.inverse(target); }
 };
 
-/// Builds a model from a profiled footprint curve: the MRC is derived via
-/// HOTL (Eq. 10) for cache sizes 0..capacity.
-ProgramModel make_program_model(const std::string& name, double access_rate,
-                                const FootprintCurve& fp,
-                                std::size_t capacity,
-                                std::size_t footprint_knots = 4096);
-
-/// Builds a model from a footprint file (the paper's on-disk form). The
-/// MRC is re-derived from the stored footprint knots.
+/// Builds a model from a footprint file (the paper's on-disk form) for
+/// cache sizes 0..capacity: the MRC is the file's HOTL curve, extended
+/// with the cold-miss ratio past m.
 ProgramModel model_from_footprint_file(const FootprintFile& file,
                                        std::size_t capacity);
+
+/// Builds a model from a profiled footprint curve; the same as
+/// model_from_footprint_file(make_footprint_file(name, access_rate, fp),
+/// capacity), so a model never depends on whether its file was saved and
+/// loaded in between.
+ProgramModel make_program_model(const std::string& name, double access_rate,
+                                const FootprintCurve& fp,
+                                std::size_t capacity);
 
 }  // namespace ocps

@@ -38,7 +38,7 @@ PiecewiseLinear FootprintCurve::to_curve(std::size_t max_knots) const {
   if (max_knots == 0 || dense.size() <= max_knots) return dense;
   // Error-bounded simplification keeps footprint cliffs (phase boundaries)
   // that uniform decimation would smear into the wrong MRC.
-  return dense.simplify_to(0.005, max_knots);
+  return dense.simplify_to(kFootprintTolerance, max_knots);
 }
 
 FootprintCurve footprint_from_profile(const ReuseProfile& p) {

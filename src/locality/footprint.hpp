@@ -24,6 +24,11 @@
 
 namespace ocps {
 
+/// Stored footprint curves keep at most kFootprintKnots knots, chosen by
+/// Douglas-Peucker simplification with kFootprintTolerance (in blocks).
+inline constexpr std::size_t kFootprintKnots = 4096;
+inline constexpr double kFootprintTolerance = 0.005;
+
 /// Dense average-footprint function: value at index w is fp(w), for
 /// w = 0..trace_length, with fp(0) = 0 and fp(n) = m.
 struct FootprintCurve {

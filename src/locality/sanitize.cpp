@@ -66,45 +66,4 @@ Result<MissRatioCurve> sanitize_mrc(std::vector<double> ratios,
   return Ok(MissRatioCurve(std::move(ratios), accesses));
 }
 
-Result<PiecewiseLinear> sanitize_footprint_knots(std::vector<double> xs,
-                                                 std::vector<double> ys,
-                                                 RepairReport* report) {
-  RepairReport local;
-  RepairReport& r = report ? *report : local;
-
-  if (xs.size() != ys.size())
-    return Err(ErrorCode::kInvalidArgument,
-               "footprint knot vectors differ in length");
-
-  std::vector<double> out_x, out_y;
-  out_x.reserve(xs.size());
-  out_y.reserve(ys.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    double x = xs[i], y = ys[i];
-    if (!std::isfinite(x) || !std::isfinite(y)) {
-      ++r.dropped;
-      continue;
-    }
-    if (!out_x.empty() && x <= out_x.back()) {
-      ++r.dropped;  // non-increasing window coordinate
-      continue;
-    }
-    if (y < 0.0) {
-      y = 0.0;
-      ++r.clamped;
-    }
-    if (!out_y.empty() && y < out_y.back()) {
-      y = out_y.back();  // footprints are non-decreasing
-      ++r.monotone;
-    }
-    out_x.push_back(x);
-    out_y.push_back(y);
-  }
-
-  if (out_x.empty())
-    return Err(ErrorCode::kDegenerateProfile,
-               "no usable footprint knot survives sanitization");
-  return Ok(PiecewiseLinear(std::move(out_x), std::move(out_y)));
-}
-
 }  // namespace ocps

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "locality/mrc.hpp"
-#include "util/curve.hpp"
 #include "util/result.hpp"
 
 namespace ocps {
@@ -30,19 +29,10 @@ struct RepairReport {
   std::size_t nonfinite = 0;   ///< NaN/inf entries replaced
   std::size_t clamped = 0;     ///< values clamped into range
   std::size_t monotone = 0;    ///< monotonicity violations flattened
-  std::size_t dropped = 0;     ///< knots dropped (footprint curves)
   std::size_t extended = 0;    ///< entries appended to a truncated curve
 
   std::size_t total() const {
-    return nonfinite + clamped + monotone + dropped + extended;
-  }
-  RepairReport& operator+=(const RepairReport& o) {
-    nonfinite += o.nonfinite;
-    clamped += o.clamped;
-    monotone += o.monotone;
-    dropped += o.dropped;
-    extended += o.extended;
-    return *this;
+    return nonfinite + clamped + monotone + extended;
   }
 };
 
@@ -57,14 +47,5 @@ Result<MissRatioCurve> sanitize_mrc(std::vector<double> ratios,
                                     std::uint64_t accesses,
                                     std::size_t capacity,
                                     RepairReport* report = nullptr);
-
-/// Validates and repairs footprint knots: drops knots with non-finite
-/// coordinates or non-increasing x, clamps negative footprints to 0, and
-/// flattens decreasing y (footprints are non-decreasing in window
-/// length). Returns kDegenerateProfile when fewer than one usable knot
-/// survives.
-Result<PiecewiseLinear> sanitize_footprint_knots(
-    std::vector<double> xs, std::vector<double> ys,
-    RepairReport* report = nullptr);
 
 }  // namespace ocps

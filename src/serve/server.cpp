@@ -26,7 +26,6 @@
 #include "core/batch_engine.hpp"
 #include "core/group_sweep.hpp"
 #include "locality/footprint_io.hpp"
-#include "locality/sanitize.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
 #include "util/check.hpp"
@@ -74,18 +73,7 @@ std::shared_ptr<const ProfileSet> make_profile_set(
 Result<ProgramModel> load_profile(const std::string& path,
                                   std::size_t capacity) {
   try {
-    FootprintFile file = load_footprint_file(path);
-    if (!std::isfinite(file.access_rate) || file.access_rate <= 0.0)
-      return Err(ErrorCode::kCorruptData,
-                 path + ": access rate must be positive and finite");
-    RepairReport report;
-    Result<PiecewiseLinear> knots = sanitize_footprint_knots(
-        file.footprint.xs(), file.footprint.ys(), &report);
-    if (!knots.ok())
-      return Err(knots.error().code,
-                 path + ": " + knots.error().message);
-    file.footprint = std::move(knots.value());
-    return Ok(model_from_footprint_file(file, capacity));
+    return Ok(model_from_footprint_file(load_footprint_file(path), capacity));
   } catch (const CheckError& e) {
     return Err(ErrorCode::kCorruptData, path + ": " + e.what());
   }
@@ -517,7 +505,7 @@ void Server::handle_reload(const std::shared_ptr<Connection>& conn,
   };
 
   // Build the complete candidate set first; nothing is swapped until
-  // every file loads and sanitizes.
+  // every file loads.
   std::vector<ProgramModel> models;
   models.reserve(req.paths.size());
   std::unordered_set<std::string> names;

@@ -144,10 +144,11 @@ std::shared_ptr<const ProfileSet> make_profile_set(
     std::vector<ProgramModel> models, std::size_t capacity,
     std::uint64_t version);
 
-/// Loads + sanitizes one footprint file into a ProgramModel. Every
-/// failure (unreadable file, malformed header, knots the PR 1 sanitizer
-/// cannot repair) comes back as an Error — the reload path must never
-/// throw on operator input.
+/// Loads one footprint file into a ProgramModel, through the same
+/// load_footprint_file + model_from_footprint_file path as the library.
+/// Every failure (unreadable file, malformed or out-of-range content)
+/// comes back as a kCorruptData Error — the reload path must never throw
+/// on operator input.
 Result<ProgramModel> load_profile(const std::string& path,
                                   std::size_t capacity);
 

@@ -62,16 +62,6 @@ double PiecewiseLinear::x_max() const {
   return xs_.back();
 }
 
-double PiecewiseLinear::y_front() const {
-  OCPS_CHECK(!ys_.empty(), "empty curve");
-  return ys_.front();
-}
-
-double PiecewiseLinear::y_back() const {
-  OCPS_CHECK(!ys_.empty(), "empty curve");
-  return ys_.back();
-}
-
 bool PiecewiseLinear::is_non_decreasing(double eps) const {
   for (std::size_t i = 1; i < ys_.size(); ++i) {
     if (ys_[i] + eps < ys_[i - 1]) return false;

@@ -40,8 +40,6 @@ class PiecewiseLinear {
   std::size_t size() const { return xs_.size(); }
   double x_min() const;
   double x_max() const;
-  double y_front() const;
-  double y_back() const;
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
 

@@ -46,32 +46,27 @@ std::string cache_path(const SuiteOptions& options, const WorkloadSpec& spec) {
 ProgramModel profile_one(const WorkloadSpec& spec,
                          const SuiteOptions& options) {
   // Cached footprint files replay the paper's setup: the optimizer reads
-  // per-program footprint files rather than re-tracing.
-  if (!options.cache_dir.empty()) {
-    std::string path = cache_path(options, spec);
-    if (std::filesystem::exists(path)) {
-      OCPS_OBS_COUNT("workloads.cache_hits", 1);
-      FootprintFile file = load_footprint_file(path);
-      return model_from_footprint_file(file, options.capacity);
-    }
+  // per-program footprint files rather than re-tracing. A cold run builds
+  // the same file in memory, so both give the same model.
+  const std::string path =
+      options.cache_dir.empty() ? "" : cache_path(options, spec);
+  if (!path.empty() && std::filesystem::exists(path)) {
+    OCPS_OBS_COUNT("workloads.cache_hits", 1);
+    return model_from_footprint_file(load_footprint_file(path),
+                                     options.capacity);
   }
   obs::ScopedSpan span("workloads.profile_one", "workloads");
   span.set_arg("accesses", options.trace_length);
   OCPS_OBS_COUNT("workloads.traces_generated", 1);
   OCPS_OBS_COUNT("workloads.accesses_generated", options.trace_length);
   Trace trace = spec.generate(options.trace_length);
-  FootprintCurve fp = compute_footprint(trace);
-  ProgramModel model = make_program_model(spec.name, spec.access_rate, fp,
-                                          options.capacity,
-                                          options.footprint_knots);
-  if (!options.cache_dir.empty()) {
+  FootprintFile file = make_footprint_file(spec.name, spec.access_rate,
+                                           compute_footprint(trace));
+  if (!path.empty()) {
     std::filesystem::create_directories(options.cache_dir);
-    FootprintFile file = make_footprint_file(spec.name, spec.access_rate, fp,
-                                             options.footprint_knots);
-    save_footprint_file(file, cache_path(options, spec),
-                        options.footprint_knots);
+    save_footprint_file(file, path);
   }
-  return model;
+  return model_from_footprint_file(file, options.capacity);
 }
 
 }  // namespace

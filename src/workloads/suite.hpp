@@ -20,7 +20,6 @@ namespace ocps {
 struct SuiteOptions {
   std::size_t trace_length = 400'000;  ///< accesses per program
   std::size_t capacity = 1024;         ///< cache size in allocation units
-  std::size_t footprint_knots = 4096;  ///< stored footprint resolution
   /// When non-empty, footprint files are cached here across runs.
   std::string cache_dir;
 };

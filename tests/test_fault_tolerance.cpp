@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dp_partition.hpp"
@@ -104,30 +105,6 @@ TEST(SanitizeMrc, RejectsDegenerateProfiles) {
   EXPECT_EQ(all_nan.error().code, ErrorCode::kDegenerateProfile);
 }
 
-TEST(SanitizeFootprint, DropsBadKnotsAndRepairsShape) {
-  RepairReport report;
-  Result<PiecewiseLinear> r = sanitize_footprint_knots(
-      {0.0, 1.0, kNaN, 0.5, 2.0, 3.0}, {0.0, 2.0, 1.0, 9.0, -1.0, 1.5},
-      &report);
-  ASSERT_TRUE(r.ok());
-  // Knot 2 (NaN x) and knot 3 (x not increasing) drop; knot 4's negative
-  // y clamps to 0 then flattens up to 2.0; knot 5 flattens to 2.0.
-  std::vector<double> want_x = {0.0, 1.0, 2.0, 3.0};
-  std::vector<double> want_y = {0.0, 2.0, 2.0, 2.0};
-  EXPECT_EQ(r.value().xs(), want_x);
-  EXPECT_EQ(r.value().ys(), want_y);
-  EXPECT_EQ(report.dropped, 2u);
-  EXPECT_GE(report.monotone, 1u);
-}
-
-TEST(SanitizeFootprint, RejectsWhenNothingSurvives) {
-  Result<PiecewiseLinear> r =
-      sanitize_footprint_knots({kNaN}, {1.0}, nullptr);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kDegenerateProfile);
-  EXPECT_FALSE(sanitize_footprint_knots({1.0, 2.0}, {1.0}).ok());
-}
-
 // ------------------------------------------------------------- DP guard
 
 TEST(TryOptimize, MatchesThrowingEntryPointOnCleanInput) {
@@ -220,15 +197,21 @@ TEST(CorruptFiles, FootprintRoundTripStillWorks) {
   std::remove(path.c_str());
 }
 
-// Writes a footprint file with the knot block replaced by `knot_lines`.
+// A valid mrc section for the files below (distinct 10).
+const std::string kGoodMrc = "mrc 11\n1\n0.5\n0.4\n0.3\n0.2\n0.1\n0.1\n0.1\n"
+                             "0.1\n0.1\n0.1\n";
+
+// Writes a footprint file with the knot block replaced by `knot_lines`
+// and the mrc section by `mrc_lines`; everything else is valid.
 std::string write_footprint_with_knots(const std::string& name,
                                        const std::string& knot_lines,
-                                       std::size_t knots) {
+                                       std::size_t knots,
+                                       const std::string& mrc_lines = kGoodMrc) {
   std::string path = temp_path(name);
   std::ofstream os(path);
-  os << "ocps-footprint 1\nname bad\naccess_rate 1\ntrace_length 100\n"
+  os << "ocps-footprint 2\nname bad\naccess_rate 1\ntrace_length 100\n"
      << "distinct 10\nknots " << knots << '\n'
-     << knot_lines;
+     << knot_lines << mrc_lines;
   return path;
 }
 
@@ -276,6 +259,57 @@ TEST(CorruptFiles, FootprintKnotCountValidatedAgainstFileSize) {
     EXPECT_NE(std::string(e.what()).find("claims"), std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+TEST(CorruptFiles, FootprintVersionOneIsRejectedWithReprofileHint) {
+  std::string path = temp_path("ocps_ft_v1.fp");
+  {
+    std::ofstream os(path);
+    os << "ocps-footprint 1\nname old\naccess_rate 1\ntrace_length 100\n"
+       << "distinct 10\nknots 2\n0 0\n100 10\n";
+  }
+  try {
+    load_footprint_file(path);
+    FAIL() << "version-1 file accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("re-profile"), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptFiles, FootprintRejectsBadMrcSection) {
+  const std::string knots = "0 0\n1 1\n100 10\n";
+  ASSERT_NO_THROW({
+    std::string ok = write_footprint_with_knots("ocps_ft_mrc_ok.fp", knots, 3);
+    FootprintFile f = load_footprint_file(ok);
+    EXPECT_EQ(f.mrc.size(), 11u);
+    std::remove(ok.c_str());
+  });
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", "no mrc section"},
+      {"mrc 10\n1\n0.5\n0.4\n0.3\n0.2\n0.1\n0.1\n0.1\n0.1\n0.1\n",
+       "distinct + 1"},
+      {"mrc 11\n1\n0.5\n", "at c=2"},
+      {"mrc 11\n1\n1.5\n0.4\n0.3\n0.2\n0.1\n0.1\n0.1\n0.1\n0.1\n0.1\n",
+       "out of [0,1] at c=1"},
+      {"mrc 11\n1\nnan\n0.4\n0.3\n0.2\n0.1\n0.1\n0.1\n0.1\n0.1\n0.1\n",
+       "out of [0,1] at c=1"},
+      {"mrc 11\n1\n0.5\n0.6\n0.3\n0.2\n0.1\n0.1\n0.1\n0.1\n0.1\n0.1\n",
+       "increases at c=2"},
+      {kGoodMrc + "0.1\n", "trailing data"},
+  };
+  for (const auto& [mrc, why] : cases) {
+    std::string path = write_footprint_with_knots("ocps_ft_mrc.fp", knots, 3,
+                                                  mrc);
+    try {
+      load_footprint_file(path);
+      ADD_FAILURE() << "accepted mrc section: " << mrc;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // -------------------------------------------------------- fault injector

@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "cachesim/belady.hpp"
 #include "cachesim/lru.hpp"
 #include "cachesim/policies.hpp"
 #include "core/dp_partition.hpp"
 #include "core/partition_sharing.hpp"
+#include "core/program_model.hpp"
 #include "locality/footprint.hpp"
 #include "locality/footprint_io.hpp"
 #include "locality/hotl.hpp"
@@ -130,6 +132,36 @@ TEST(Hardening, DpRejectsNonFiniteCosts) {
                CheckError);
 }
 
+// The loader fuzz contract: an input either throws a clean CheckError or
+// loads into a file whose model is a sound miss-ratio curve over sizes
+// 0..m. Returns whether it loaded.
+bool loads_soundly_or_throws(const std::string& path) {
+  FootprintFile f;
+  try {
+    f = load_footprint_file(path);
+  } catch (const CheckError&) {
+    return false;
+  }
+  EXPECT_GE(f.footprint.size(), 1u);
+  EXPECT_EQ(f.mrc.size(), f.distinct + 1);
+  ProgramModel model = model_from_footprint_file(f, f.distinct);
+  const std::vector<double>& r = model.mrc.ratios();
+  EXPECT_EQ(r.size(), f.distinct + 1);
+  for (std::size_t c = 0; c < r.size(); ++c) {
+    EXPECT_TRUE(r[c] >= 0.0 && r[c] <= 1.0) << "c=" << c;
+    if (c > 0) {
+      EXPECT_LE(r[c], r[c - 1]) << "c=" << c;
+    }
+  }
+  return true;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  return out;
+}
+
 TEST(Hardening, FootprintLoaderSurvivesFuzz) {
   // Random garbage must throw CheckError (or parse), never crash or
   // silently return a bogus curve with NaNs.
@@ -139,22 +171,81 @@ TEST(Hardening, FootprintLoaderSurvivesFuzz) {
     std::string path = dir + "/ocps_fuzz_" + std::to_string(trial) + ".fp";
     {
       std::ofstream os(path);
-      if (rng.chance(0.5)) os << "ocps-footprint 1\n";
+      if (rng.chance(0.5)) os << "ocps-footprint 2\n";
       std::size_t len = rng.below(200);
       for (std::size_t i = 0; i < len; ++i) {
         char c = static_cast<char>(32 + rng.below(95));
         os << (rng.chance(0.2) ? '\n' : c);
       }
     }
-    try {
-      FootprintFile f = load_footprint_file(path);
-      // If it parsed, the curve must at least be structurally sound.
-      EXPECT_GE(f.footprint.size(), 1u);
-    } catch (const CheckError&) {
-      // expected for malformed input
-    }
+    loads_soundly_or_throws(path);
     std::remove(path.c_str());
   }
+
+  // Seeded mutations of a valid file: byte flips, truncation, a
+  // duplicated line, a huge section count, and bad miss ratios.
+  const std::string path = dir + "/ocps_fuzz_mutant.fp";
+  save_footprint_file(make_footprint_file("fz", 1.5,
+                                          compute_footprint(make_zipf(
+                                              8000, 120, 0.9, 31))),
+                      path);
+  ASSERT_TRUE(loads_soundly_or_throws(path));
+  std::vector<std::string> lines;
+  std::size_t mrc_line = 0;
+  {
+    std::ifstream is(path);
+    for (std::string line; std::getline(is, line);) {
+      if (line.rfind("mrc ", 0) == 0) mrc_line = lines.size();
+      lines.push_back(line);
+    }
+  }
+  ASSERT_GT(mrc_line, 0u);
+  const std::string valid = join_lines(lines);
+  const char* bad_ratios[] = {"nan", "inf", "1.5", "-0.25", "0.9999", "1e400"};
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string text = valid;
+    switch (rng.below(5)) {
+      case 0:
+        for (std::uint64_t k = 1 + rng.below(4); k > 0; --k)
+          text[rng.below(text.size())] ^=
+              static_cast<char>(1u << rng.below(8));
+        break;
+      case 1:
+        text.resize(rng.below(text.size()));
+        break;
+      case 2: {
+        std::vector<std::string> copy = lines;
+        std::size_t i = rng.below(copy.size());
+        copy.insert(copy.begin() + static_cast<long>(i), copy[i]);
+        text = join_lines(copy);
+        break;
+      }
+      case 3: {
+        const std::string key = rng.chance(0.5) ? "\nknots " : "\nmrc ";
+        std::size_t at = text.find(key) + key.size();
+        std::string count = rng.chance(0.5)
+                                ? "18446744073709551615"
+                                : std::to_string(rng.next() >> rng.below(64));
+        text.replace(at, text.find('\n', at) - at, count);
+        break;
+      }
+      default: {
+        std::vector<std::string> copy = lines;
+        copy[mrc_line + 1 + rng.below(copy.size() - mrc_line - 1)] =
+            bad_ratios[rng.below(std::size(bad_ratios))];
+        text = join_lines(copy);
+        break;
+      }
+    }
+    {
+      std::ofstream os(path, std::ios::trunc | std::ios::binary);
+      os << text;
+    }
+    if (!loads_soundly_or_throws(path)) ++rejected;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Hardening, SchemeEvaluationRejectsOversizedIndices) {

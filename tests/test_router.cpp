@@ -682,14 +682,11 @@ TEST_F(RouterTest, RouterAllBackendsDownGives502Then503) {
 TEST_F(RouterTest, RouterReloadFansOutToWholeFleet) {
   std::string fp_path = "/tmp/ocps_rtest_reload.fp";
   {
-    std::vector<ProgramModel> fresh = make_models(1);
-    FootprintFile file;
-    file.name = "fresh0";
-    file.access_rate = fresh[0].access_rate;
-    file.trace_length = fresh[0].trace_length;
-    file.distinct = fresh[0].distinct;
-    file.footprint = fresh[0].footprint;
-    save_footprint_file(file, fp_path);
+    // The same program as make_models()[0], under a new name.
+    save_footprint_file(
+        make_footprint_file("fresh0", 0.5,
+                            compute_footprint(make_cyclic(20000, 20))),
+        fp_path);
   }
   Fleet fleet(2, "rl");
   fleet.start_all();

@@ -356,14 +356,11 @@ TEST_F(ServeTest, ReloadRejectsBadProfileKeepsLastGood) {
   std::string good_path = "/tmp/ocps_test_reload_good.fp";
   std::string bad_path = "/tmp/ocps_test_reload_bad.fp";
   {
-    std::vector<ProgramModel> fresh = make_models(2);
-    FootprintFile file;
-    file.name = "fresh0";
-    file.access_rate = fresh[0].access_rate;
-    file.trace_length = fresh[0].trace_length;
-    file.distinct = fresh[0].distinct;
-    file.footprint = fresh[0].footprint;
-    save_footprint_file(file, good_path);
+    // The same program as make_models()[0], under a new name.
+    save_footprint_file(
+        make_footprint_file("fresh0", 0.5,
+                            compute_footprint(make_cyclic(20000, 20))),
+        good_path);
     std::ofstream bad(bad_path, std::ios::trunc);
     bad << "this is not a footprint file\n";
   }
@@ -1639,14 +1636,11 @@ TEST_F(ServeTest, ReconcileAttachesRealizedRatiosAndRejectsBadRequests) {
 TEST_F(ServeTest, ReloadTagsTheNextDecision) {
   std::string fp_path = "/tmp/ocps_test_decision_reload.fp";
   {
-    std::vector<ProgramModel> fresh = make_models(1);
-    FootprintFile file;
-    file.name = "fresh0";
-    file.access_rate = fresh[0].access_rate;
-    file.trace_length = fresh[0].trace_length;
-    file.distinct = fresh[0].distinct;
-    file.footprint = fresh[0].footprint;
-    save_footprint_file(file, fp_path);
+    // The same program as make_models()[0], under a new name.
+    save_footprint_file(
+        make_footprint_file("fresh0", 0.5,
+                            compute_footprint(make_cyclic(20000, 20))),
+        fp_path);
   }
   ServeConfig config;
   config.socket_path = unique_socket_path("decreload");

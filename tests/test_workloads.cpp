@@ -1,9 +1,14 @@
 // Tests for the SPEC-like workload suite and suite profiling.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
 
+#include "locality/footprint_io.hpp"
+#include "locality/hotl.hpp"
+#include "trace/generators.hpp"
 #include "workloads/spec_like.hpp"
 #include "workloads/suite.hpp"
 #include "util/check.hpp"
@@ -121,13 +126,65 @@ TEST(Suite, DiskCacheRoundTrips) {
     const auto& b = second.models[i];
     EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.distinct, b.distinct);
-    // The cached model re-derives its MRC from the 4096-knot footprint
-    // file, so cliffy curves pick up a little downsampling smoothing.
-    for (std::size_t c = 0; c <= opt.capacity; c += 16)
-      EXPECT_NEAR(a.mrc.ratio(c), b.mrc.ratio(c), 0.03)
-          << a.name << " c=" << c;
+    EXPECT_EQ(a.trace_length, b.trace_length);
+    EXPECT_EQ(a.footprint.xs(), b.footprint.xs()) << a.name;
+    EXPECT_EQ(a.footprint.ys(), b.footprint.ys()) << a.name;
+    EXPECT_EQ(a.mrc.ratios(), b.mrc.ratios()) << a.name;
   }
   std::filesystem::remove_all(opt.cache_dir);
+}
+
+// profile -> model must equal profile -> file -> save -> load -> model,
+// bit for bit, at a capacity below and above m: then the committed
+// footprint cache, the serve daemon and a cold run build one model. Both
+// must also equal the HOTL curve of the dense footprint.
+void expect_file_round_trip_exact(const std::string& name, double rate,
+                                  const FootprintCurve& fp) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("ocps_rt_" + name + ".fp"))
+          .string();
+  save_footprint_file(make_footprint_file(name, rate, fp), path);
+  const FootprintFile loaded = load_footprint_file(path);
+  std::remove(path.c_str());
+  ASSERT_GT(fp.distinct, 2u) << name;
+  for (std::size_t capacity : {fp.distinct / 2, fp.distinct * 2}) {
+    const ProgramModel direct = make_program_model(name, rate, fp, capacity);
+    const ProgramModel via_file = model_from_footprint_file(loaded, capacity);
+    EXPECT_EQ(via_file.name, direct.name);
+    EXPECT_EQ(via_file.trace_length, direct.trace_length) << name;
+    EXPECT_EQ(via_file.distinct, direct.distinct) << name;
+    EXPECT_EQ(std::memcmp(&via_file.access_rate, &direct.access_rate,
+                          sizeof(double)),
+              0)
+        << name;
+    EXPECT_EQ(via_file.footprint.xs(), direct.footprint.xs()) << name;
+    EXPECT_EQ(via_file.footprint.ys(), direct.footprint.ys()) << name;
+    const std::vector<double> hotl = hotl_mrc(fp, capacity).ratios();
+    for (const std::vector<double>* r :
+         {&direct.mrc.ratios(), &via_file.mrc.ratios()}) {
+      ASSERT_EQ(r->size(), capacity + 1) << name;
+      EXPECT_EQ(std::memcmp(r->data(), hotl.data(),
+                            hotl.size() * sizeof(double)),
+                0)
+          << name << " C=" << capacity;
+    }
+  }
+}
+
+TEST(ModelRoundTrip, SuiteProgramsThroughFileAreBitIdentical) {
+  for (const WorkloadSpec& spec : spec2006_suite())
+    expect_file_round_trip_exact(
+        spec.name, spec.access_rate,
+        compute_footprint(spec.generate(small_options().trace_length)));
+}
+
+TEST(ModelRoundTrip, CliffyTraceThroughFileIsBitIdentical) {
+  // A hot set plus a long scan: the MRC drops off a cliff at the scan's
+  // size, the shape an MRC re-derived from simplified knots smooths away.
+  Trace t = make_scan_mix(60000, 40, 0.7, {{600, 0.3}}, 11);
+  FootprintCurve fp = compute_footprint(t);
+  ASSERT_FALSE(hotl_mrc(fp, fp.distinct).is_convex(1e-6));
+  expect_file_round_trip_exact("cliffy", 0.75, fp);
 }
 
 TEST(Suite, EnvOptionsParsed) {
