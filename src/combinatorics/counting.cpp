@@ -74,25 +74,6 @@ std::optional<unsigned __int128> stirling2_128(std::uint64_t n,
   return row[k];
 }
 
-double stirling2_double(std::uint64_t n, std::uint64_t k) {
-  auto exact = stirling2_128(n, k);
-  if (exact) {
-    // u128 → double conversion is fine for our magnitudes.
-    return static_cast<double>(*exact);
-  }
-  // Overflow: recompute in doubles (loses precision but keeps magnitude).
-  if (k > n) return 0.0;
-  std::vector<double> row(k + 1, 0.0);
-  row[0] = 1.0;
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    std::uint64_t hi = std::min<std::uint64_t>(i, k);
-    for (std::uint64_t j = hi; j >= 1; --j)
-      row[j] = static_cast<double>(j) * row[j] + row[j - 1];
-    row[0] = 0.0;
-  }
-  return row[k];
-}
-
 std::string to_string_u128(unsigned __int128 v) {
   if (v == 0) return "0";
   std::string digits;

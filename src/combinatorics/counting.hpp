@@ -30,9 +30,6 @@ double binomial_double(std::uint64_t n, std::uint64_t k);
 /// recurrence. Returns nullopt on overflow. n, k <= 64 is plenty here.
 std::optional<unsigned __int128> stirling2_128(std::uint64_t n, std::uint64_t k);
 
-/// Stirling number of the second kind as a double.
-double stirling2_double(std::uint64_t n, std::uint64_t k);
-
 /// Formats an unsigned 128-bit integer in base 10.
 struct U128 { unsigned __int128 value; };
 std::string to_string_u128(unsigned __int128 v);

@@ -21,8 +21,6 @@ namespace ocps {
 struct SharingScheme {
   SetPartition groups;                  ///< program indices per group
   std::vector<std::size_t> group_sizes; ///< cache units per group
-
-  std::size_t num_groups() const { return groups.size(); }
 };
 
 /// Model-predicted outcome of running a scheme.

@@ -1,5 +1,5 @@
-// Build identity for the ocps_build_info exposition. Compiled in every
-// mode — OCPS_OBS_DISABLED removes telemetry, not the binary's identity.
+// Build identity for the ocps_build_info exposition. Reported whether or
+// not OCPS_OBS is on — it describes the binary, not the telemetry state.
 #include <atomic>
 
 #include "obs/obs.hpp"

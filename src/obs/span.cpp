@@ -1,5 +1,3 @@
-#ifndef OCPS_OBS_DISABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -146,7 +144,12 @@ void escape(std::ostream& os, const char* s) {
 
 }  // namespace
 
-std::uint64_t now_ns() { return steady_now_raw() - trace_epoch(); }
+std::uint64_t now_ns() {
+  // Latch the epoch before reading the clock: the first call must not
+  // read a time earlier than the epoch it then sets.
+  const std::uint64_t epoch = trace_epoch();
+  return steady_now_raw() - epoch;
+}
 
 ScopedSpan::ScopedSpan(const char* name, const char* cat) noexcept {
   if (!enabled()) return;
@@ -275,35 +278,4 @@ void write_chrome_trace(std::ostream& os) {
   os << "]}";
 }
 
-void write_text_timeline(std::ostream& os) {
-  for (const TraceEvent& e : trace_events()) {
-    os << e.ts_ns << "ns";
-    if (e.instant) {
-      os << " !";
-    } else {
-      os << " +" << e.dur_ns << "ns";
-    }
-    os << " tid=" << e.tid << " " << (e.cat ? e.cat : "ocps") << "/"
-       << e.name;
-    if (e.trace_id != 0) os << " trace_id=" << e.trace_id;
-    if (e.arg_name) os << " " << e.arg_name << "=" << e.arg;
-    os << "\n";
-  }
-}
-
 }  // namespace ocps::obs
-
-#else  // OCPS_OBS_DISABLED
-
-#include <ostream>
-
-#include "obs/obs.hpp"
-
-namespace ocps::obs {
-
-void write_chrome_trace(std::ostream& os) { os << "{\"traceEvents\":[]}"; }
-void write_text_timeline(std::ostream&) {}
-
-}  // namespace ocps::obs
-
-#endif  // OCPS_OBS_DISABLED

@@ -121,10 +121,6 @@ ControllerHooks FaultInjector::hooks() {
   return h;
 }
 
-void FaultInjector::reset_counts() {
-  nan_ = spikes_ = truncations_ = drops_ = dp_failures_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Socket-layer faults.
 

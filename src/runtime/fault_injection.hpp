@@ -60,9 +60,6 @@ class FaultInjector {
     return nan_ + spikes_ + truncations_ + drops_ + dp_failures_;
   }
 
-  /// Resets the tally (the schedule is stateless and unaffected).
-  void reset_counts();
-
   // Hook bodies (public so tests can drive them directly).
   void corrupt_mrc(std::size_t epoch, std::size_t program,
                    std::vector<double>& ratios);

@@ -229,7 +229,7 @@ void Frontend::answer_metrics(Connection& conn, std::int64_t id,
   if (!obs::enabled()) {
     conn.send_line(error_response(
         id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)"));
+        "observability disabled (OCPS_OBS unset)"));
     return;
   }
   refresh();
@@ -428,9 +428,9 @@ void Frontend::answer_scrape(int fd) {
     return;
   }
   if (!obs::enabled()) {
-    // Explicit status instead of an empty page: with obs off (or the
-    // layer compiled out) there is nothing to expose, and a scraper
-    // should see that as a config problem, not an idle daemon.
+    // Explicit status instead of an empty page: with obs off there is
+    // nothing to expose, and a scraper should see that as a config
+    // problem, not an idle daemon.
     reply("501 Not Implemented", "text/plain; charset=utf-8",
           "observability disabled (run ocps serve, or set OCPS_OBS=1)\n");
     return;

@@ -5,6 +5,7 @@
 
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
+#include "util/check.hpp"
 
 namespace ocps::serve {
 
@@ -360,8 +361,7 @@ json::Value drift_status_json(const obs::DriftStatus& status,
 }
 
 json::Value slo_json(obs::SloTracker& slo) {
-  obs::SloTracker::Status status =
-      slo.status(obs::SloTracker::steady_now_ns());
+  obs::SloTracker::Status status = slo.status(obs::now_ns());
   json::Value body;
   body.set("configured", json::Value(slo.configured()));
   json::Array objectives;
@@ -392,10 +392,22 @@ json::Value slo_json(obs::SloTracker& slo) {
   return body;
 }
 
+std::unique_ptr<obs::SloTracker> make_slo_tracker(const char* tier,
+                                                  double p99_ms,
+                                                  double availability) {
+  OCPS_CHECK(p99_ms >= 0.0 && std::isfinite(p99_ms),
+             "" << tier << ": slo_p99_ms must be finite and >= 0");
+  OCPS_CHECK(availability >= 0.0 && availability < 1.0,
+             "" << tier << ": slo_availability must be in [0, 1)");
+  obs::SloConfig config;
+  config.p99_ms = p99_ms;
+  config.availability = availability;
+  return std::make_unique<obs::SloTracker>(config);
+}
+
 void publish_slo_gauges(obs::SloTracker& slo) {
   if (!slo.configured()) return;
-  obs::SloTracker::Status status =
-      slo.status(obs::SloTracker::steady_now_ns());
+  obs::SloTracker::Status status = slo.status(obs::now_ns());
   for (const obs::SloTracker::Objective& o : status.objectives) {
     std::string base = "serve.slo." + o.name;
     obs::gauge(base + ".target").set(o.target);

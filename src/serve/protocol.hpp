@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,7 @@ inline constexpr int kCodeNotFound = 404;          ///< unknown program name
 inline constexpr int kCodeQueueFull = 429;         ///< admission shed
 inline constexpr int kCodeUnprocessable = 422;     ///< rejected reload
 inline constexpr int kCodeInternal = 500;          ///< unexpected failure
-inline constexpr int kCodeObsDisabled = 501;       ///< obs off / compiled out
+inline constexpr int kCodeObsDisabled = 501;       ///< OCPS_OBS unset
 inline constexpr int kCodeBadGateway = 502;        ///< router: no backend answered
 inline constexpr int kCodeShuttingDown = 503;      ///< drain / overload / no backend up
 inline constexpr int kCodeDeadlineExceeded = 504;  ///< deadline passed
@@ -172,6 +173,13 @@ json::Value drift_status_json(const obs::DriftStatus& status,
 ///    "burn_5m","burn_1h"},...],"alerts_total"}
 /// Shared by the daemon and the router (which adds "role").
 json::Value slo_json(obs::SloTracker& slo);
+
+/// Validates a tier's SLO targets (p99_ms finite and >= 0, availability
+/// in [0, 1)) and builds its tracker. A bad value throws CheckError with
+/// a message prefixed by `tier` ("serve" or "router").
+std::unique_ptr<obs::SloTracker> make_slo_tracker(const char* tier,
+                                                  double p99_ms,
+                                                  double availability);
 
 /// Sets the serve.slo.* gauges (per objective: target, burn_5m, burn_1h,
 /// breaching; plus alerts_total) from `slo`, when it has an objective.

@@ -15,7 +15,6 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -254,19 +253,12 @@ Router::Router(RouterConfig config)
              "router: connect_timeout must be positive");
   OCPS_CHECK(config_.health_interval.count() > 0,
              "router: health_interval must be positive");
-  OCPS_CHECK(config_.slo_p99_ms >= 0.0 && std::isfinite(config_.slo_p99_ms),
-             "router: slo_p99_ms must be finite and >= 0");
-  OCPS_CHECK(config_.slo_availability >= 0.0 &&
-                 config_.slo_availability < 1.0,
-             "router: slo_availability must be in [0, 1)");
+  slo_ = make_slo_tracker("router", config_.slo_p99_ms,
+                          config_.slo_availability);
   ring_ = std::make_unique<HashRing>(config_.backends.size(), config_.vnodes);
   backends_.reserve(config_.backends.size());
   for (const std::string& ep : config_.backends)
     backends_.push_back(std::make_unique<Backend>(ep, config_.breaker));
-  obs::SloConfig slo_config;
-  slo_config.p99_ms = config_.slo_p99_ms;
-  slo_config.availability = config_.slo_availability;
-  slo_ = std::make_unique<obs::SloTracker>(slo_config);
   trace_seed_ = static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
@@ -453,8 +445,7 @@ void Router::forward(const std::shared_ptr<Connection>& conn, Lane& lane,
   // The router's own SLO is judged on what the client experienced:
   // whole-walk latency, success = a definitive ok answer.
   auto finish = [&](bool ok) {
-    slo_->record(ms_since(fwd_start, Clock::now()), ok,
-                 obs::SloTracker::steady_now_ns());
+    slo_->record(ms_since(fwd_start, Clock::now()), ok, obs::now_ns());
   };
 
   const std::vector<std::size_t> order = ring_->order_for(route_key(req));
@@ -721,8 +712,7 @@ void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
 void Router::handle_slo_local(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
   // Same body as the daemon's `slo` answer plus the router role marker;
-  // answers even with obs compiled out (the tracker is
-  // registry-independent).
+  // answers even with obs off (the tracker is registry-independent).
   json::Value body = slo_json(*slo_);
   body.set("role", json::Value("router"));
   conn->send_line(ok_response(req.id, std::move(body)));

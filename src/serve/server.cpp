@@ -256,11 +256,8 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
              "serve: default_deadline_ms must be finite and >= 0");
   OCPS_CHECK(config_.latency_window_s > 0,
              "serve: latency_window_s must be positive");
-  OCPS_CHECK(config_.slo_p99_ms >= 0.0 && std::isfinite(config_.slo_p99_ms),
-             "serve: slo_p99_ms must be finite and >= 0");
-  OCPS_CHECK(config_.slo_availability >= 0.0 &&
-                 config_.slo_availability < 1.0,
-             "serve: slo_availability must be in [0, 1)");
+  slo_ = make_slo_tracker("serve", config_.slo_p99_ms,
+                          config_.slo_availability);
   OCPS_CHECK(config_.decision_log_capacity > 0,
              "serve: decision_log_capacity must be positive");
   OCPS_CHECK(config_.drift_alpha > 0.0 && config_.drift_alpha <= 1.0,
@@ -270,10 +267,6 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
              "serve: drift_threshold must be finite and >= 0");
   telemetry_ = std::make_unique<Telemetry>(config_.latency_window_s,
                                            config_.slowlog_capacity);
-  obs::SloConfig slo_config;
-  slo_config.p99_ms = config_.slo_p99_ms;
-  slo_config.availability = config_.slo_availability;
-  slo_ = std::make_unique<obs::SloTracker>(slo_config);
   decisions_ = std::make_unique<obs::DecisionLog>(
       config_.decision_log_capacity);
   obs::DriftConfig drift_config;
@@ -296,7 +289,7 @@ Result<bool> Server::start() {
     obs::histogram("dp.prediction_error");
     obs::publish_decision_metrics(*decisions_, drift_.get(),
                                   &telemetry_->window_prediction_error,
-                                  obs::DecisionLog::steady_now_ns());
+                                  obs::now_ns());
     if (slo_->configured()) refresh_latency_gauges();
   }
 
@@ -585,7 +578,7 @@ void Server::refresh_latency_gauges() {
   // recompute-per-scrape contract as the quantile gauges above.
   obs::publish_decision_metrics(*decisions_, drift_.get(),
                                 &telemetry_->window_prediction_error,
-                                obs::DecisionLog::steady_now_ns());
+                                obs::now_ns());
 }
 
 void Server::handle_metrics(const std::shared_ptr<Connection>& conn,
@@ -634,7 +627,7 @@ void Server::handle_trace(const std::shared_ptr<Connection>& conn,
   if (!obs::enabled()) {
     conn->send_line(error_response(
         req.id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)"));
+        "observability disabled (OCPS_OBS unset)"));
     return;
   }
   json::Value body;
@@ -648,14 +641,14 @@ void Server::handle_trace(const std::shared_ptr<Connection>& conn,
 void Server::handle_slo(const std::shared_ptr<Connection>& conn,
                         const Request& req) {
   // Like slowlog, the SLO engine is server-owned state independent of
-  // the obs registry: it answers even with obs compiled out.
+  // the obs registry: it answers even with obs off.
   conn->send_line(ok_response(req.id, slo_json(*slo_)));
 }
 
 void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
   // Like slo/slowlog, the decision log is server-owned state independent
-  // of the obs registry: it answers even with obs off or compiled out.
+  // of the obs registry: it answers even with obs off.
   json::Value body;
   if (req.decision_id != 0) {
     obs::DecisionRecord rec;
@@ -686,7 +679,7 @@ void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
 
 void Server::handle_reconcile(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
-  const std::uint64_t now = obs::DecisionLog::steady_now_ns();
+  const std::uint64_t now = obs::now_ns();
   obs::DecisionRecord rec;
   switch (decisions_->reconcile(req.decision_id, req.realized,
                                 /*partial=*/false, now, &rec)) {
@@ -893,7 +886,7 @@ void Server::answer_partition(
   // model changed under the clients. Realized ratios arrive later via
   // the `reconcile` op.
   obs::DecisionRecord decision;
-  decision.at_ns = obs::DecisionLog::steady_now_ns();
+  decision.at_ns = obs::now_ns();
   const std::uint64_t seen = last_decision_version_.exchange(set.version);
   decision.trigger = seen != set.version ? obs::DecisionTrigger::kReload
                                          : obs::DecisionTrigger::kRequest;
@@ -1053,9 +1046,9 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
     obs::note_exemplar("serve.request_latency", ms, p.req.trace_id);
   }
 
-  // SLO accounting is obs-independent (the tracker carries its own
-  // clock) so burn rates keep working in an OCPS_OBS_DISABLED build.
-  slo_->record(ms, answered, obs::SloTracker::steady_now_ns());
+  // SLO accounting does not depend on OCPS_OBS, so burn rates keep
+  // working with observability off.
+  slo_->record(ms, answered, obs::now_ns());
 
   Telemetry::SlowEntry entry;
   entry.trace_id = p.req.trace_id;

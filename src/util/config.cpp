@@ -18,15 +18,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
-double env_double(const std::string& name, double fallback) {
-  const char* v = lookup(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || (end && *end != '\0')) return fallback;
-  return parsed;
-}
-
 std::string env_string(const std::string& name, const std::string& fallback) {
   const char* v = lookup(name);
   return (v && *v) ? std::string(v) : fallback;

@@ -13,9 +13,6 @@ namespace ocps {
 /// Reads an integer env var; returns fallback when unset or malformed.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
-/// Reads a floating-point env var; returns fallback when unset or malformed.
-double env_double(const std::string& name, double fallback);
-
 /// Reads a string env var; returns fallback when unset.
 std::string env_string(const std::string& name, const std::string& fallback);
 

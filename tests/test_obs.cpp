@@ -21,8 +21,6 @@
 namespace ocps {
 namespace {
 
-#ifndef OCPS_OBS_DISABLED
-
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -363,13 +361,6 @@ TEST_F(ObsTest, MetricsJsonRoundTrips) {
   // Non-finite gauges must serialize as null, never as nan/inf tokens.
   EXPECT_NE(text.find("\"test.json_inf_gauge\":null"), std::string::npos);
   EXPECT_NE(text.find("\"test.json_nan_gauge\":null"), std::string::npos);
-}
-
-TEST_F(ObsTest, TextTimelineListsEvents) {
-  { obs::ScopedSpan span("test.timeline_span", "test"); }
-  std::ostringstream os;
-  obs::write_text_timeline(os);
-  EXPECT_NE(os.str().find("test/test.timeline_span"), std::string::npos);
 }
 
 // ------------------------------------------------- controller tracing
@@ -759,13 +750,10 @@ TEST_F(ObsTest, TraceEventsForReturnsOnlyTaggedEvents) {
   EXPECT_TRUE(obs::trace_events_for(9999).empty());
 }
 
-#endif  // OCPS_OBS_DISABLED
-
 // ------------------------------------------------------------ SLO tracker
 //
-// The SloTracker is deliberately independent of the OCPS_OBS_DISABLED
-// switch (the `slo` op answers even in stripped builds), so these tests
-// run in both configurations. All clocks are synthetic.
+// The SloTracker is deliberately independent of the OCPS_OBS switch (the
+// `slo` op answers with observability off). All clocks are synthetic.
 
 namespace slo_test {
 constexpr std::uint64_t kSec = 1000000000ULL;
