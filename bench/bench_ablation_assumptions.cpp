@@ -50,6 +50,8 @@ int main() {
         sa8.access(b);
         sa16.access(b);
       }
+      sa8.publish_tallies();
+      sa16.publish_tallies();
       double clock = policy_miss_ratio(Policy::kClock, trace, c);
       double fifo = policy_miss_ratio(Policy::kFifo, trace, c);
       double random = policy_miss_ratio(Policy::kRandom, trace, c, 7);

@@ -13,10 +13,7 @@
 //
 // Sanity anchors, checked at exit (non-zero exit on violation):
 //  * the post-swap error p99 is visibly worse than the pre-swap p99;
-//  * exactly one edge-triggered drift alert fires, after the swap;
-//  * with the obs registry disabled (the OCPS_OBS=0 path) the
-//    allocations are bit-for-bit identical and the audit trail still
-//    records and reconciles every decision.
+//  * exactly one edge-triggered drift alert fires, after the swap.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -170,26 +167,6 @@ int main() {
       ok = false;
     }
   }
-
-  // OCPS_OBS=0 contract: the decision plane is passive. Disabling the
-  // registry must not move a single allocation, and the audit trail
-  // (server-owned state, like the slowlog) keeps recording regardless.
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(false);
-  ControllerResult off = run_online_controller(mix, 2, config);
-  obs::set_enabled(was_enabled);
-  if (off.alloc_history != r.alloc_history) {
-    std::cout << "FAIL: disabling obs changed the allocation decisions\n";
-    ok = false;
-  }
-  const obs::DecisionAccuracy off_acc = off.decisions->accuracy();
-  if (off_acc.decisions_total != acc.decisions_total ||
-      off_acc.reconciled_total != acc.reconciled_total) {
-    std::cout << "FAIL: audit trail stopped recording with obs disabled\n";
-    ok = false;
-  }
-  std::cout << "\nobs disabled: allocations bit-for-bit identical, "
-            << off_acc.decisions_total << " decisions still audited\n";
 
   std::cout << "\nExpected: pre-swap errors settle near zero as the model "
                "learns; the first post-swap epochs mispredict (the model "

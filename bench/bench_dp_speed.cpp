@@ -267,12 +267,12 @@ BENCHMARK(BM_GroupSweepPerGroup)
     ->Iterations(1);
 
 // Custom main (instead of BENCHMARK_MAIN) so the observability snapshot
-// is emitted like every other bench binary when OCPS_OBS is on.
+// is emitted like every other bench binary.
 int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  ocps::bench::emit_metrics_snapshot_if_enabled();
+  ocps::bench::emit_metrics_snapshot();
   return 0;
 }

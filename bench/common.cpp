@@ -30,29 +30,22 @@ double PhaseTimer::stop() {
     stopped_seconds_ = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start_)
                            .count();
-    if (obs::enabled())
-      obs::histogram(std::string("bench.") + name_ + "_ns")
-          .observe(stopped_seconds_ * 1e9);
+    obs::histogram(std::string("bench.") + name_ + "_ns")
+        .observe(stopped_seconds_ * 1e9);
     span_.reset();
   }
   return stopped_seconds_;
 }
 
-void emit_metrics_snapshot_if_enabled() {
+void emit_metrics_snapshot() {
   static bool emitted = false;
-  if (emitted || !obs::enabled()) return;
+  const std::string path = env_string("OCPS_METRICS_OUT", "");
+  if (emitted || path.empty()) return;
   emitted = true;
-  std::string path = env_string("OCPS_METRICS_OUT", "");
-  if (path.empty()) {
-    std::cout << "[ocps] metrics snapshot:\n";
-    obs::write_metrics_json(std::cout);
-    std::cout << std::endl;
-  } else {
-    std::ofstream os(path, std::ios::trunc);
-    OCPS_CHECK(os.good(), "cannot write metrics snapshot " << path);
-    obs::write_metrics_json(os);
-    std::cerr << "[ocps] metrics snapshot written to " << path << "\n";
-  }
+  std::ofstream os(path, std::ios::trunc);
+  OCPS_CHECK(os.good(), "cannot write metrics snapshot " << path);
+  obs::write_metrics_json(os);
+  std::cerr << "[ocps] metrics snapshot written to " << path << "\n";
 }
 
 namespace {
@@ -60,7 +53,7 @@ namespace {
 // Emits the snapshot when the bench binary exits through main's return
 // path; explicit early calls take precedence via the idempotence flag.
 struct SnapshotAtExit {
-  ~SnapshotAtExit() { emit_metrics_snapshot_if_enabled(); }
+  ~SnapshotAtExit() { emit_metrics_snapshot(); }
 } snapshot_at_exit;
 
 }  // namespace

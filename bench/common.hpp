@@ -30,8 +30,8 @@ namespace ocps::bench {
 
 /// Steady-clock stopwatch for bench phase timing, wired into the
 /// observability layer: every timed phase is a "bench" trace span and a
-/// sample in histogram `bench.<name>_ns` when OCPS_OBS is on. All bench
-/// wall-clock numbers come from this one timer so they share a clock
+/// sample in histogram `bench.<name>_ns`. All bench wall-clock numbers
+/// come from this one timer so they share a clock
 /// (std::chrono::steady_clock) and show up in trace exports.
 class PhaseTimer {
  public:
@@ -53,11 +53,11 @@ class PhaseTimer {
   double stopped_seconds_ = -1.0;
 };
 
-/// When observability is on (OCPS_OBS=1), writes the metrics-registry
-/// JSON snapshot to `OCPS_METRICS_OUT` (or stdout when unset). Runs
-/// automatically at exit of every binary linking bench common; calling
-/// it earlier is idempotent. A no-op when observability is off.
-void emit_metrics_snapshot_if_enabled();
+/// Writes the metrics-registry JSON snapshot to `OCPS_METRICS_OUT`; a
+/// no-op when it is unset, so bench stdout holds only the bench's own
+/// output. Runs automatically at exit of every binary linking bench
+/// common; calling it earlier is idempotent.
+void emit_metrics_snapshot();
 
 /// Suite + sweep bundle used by the Table I / Fig 5-7 binaries.
 struct Evaluation {

@@ -87,6 +87,7 @@ CoRunResult simulate_shared(const InterleavedTrace& trace,
       }
     }
   }
+  cache.publish_tallies();
   if (occ_samples > 0) {
     out.mean_occupancy.resize(p);
     for (std::size_t i = 0; i < p; ++i)
@@ -123,6 +124,7 @@ CoRunResult simulate_partition_sharing(
       if (!hit) ++out.misses[who];
     }
   }
+  for (const LruCache& c : partitions) c.publish_tallies();
   return out;
 }
 

@@ -9,13 +9,17 @@ LruCache::LruCache(std::size_t capacity) : capacity_(capacity) {
   map_.reserve(capacity * 2 + 16);
 }
 
+void LruCache::publish_tallies() const {
+  OCPS_OBS_COUNT("sim.lru.accesses", hits_ + misses_);
+  OCPS_OBS_COUNT("sim.lru.hits", hits_);
+  OCPS_OBS_COUNT("sim.lru.evictions", evictions_);
+}
+
 bool LruCache::access(Block b) {
   evicted_valid_ = false;
-  OCPS_OBS_COUNT("sim.lru.accesses", 1);
   auto it = map_.find(b);
   if (it != map_.end()) {
     ++hits_;
-    OCPS_OBS_COUNT("sim.lru.hits", 1);
     lru_.splice(lru_.begin(), lru_, it->second);
     return true;
   }
@@ -27,7 +31,7 @@ bool LruCache::access(Block b) {
     map_.erase(victim);
     evicted_ = victim;
     evicted_valid_ = true;
-    OCPS_OBS_COUNT("sim.lru.evictions", 1);
+    ++evictions_;
   }
   lru_.push_front(b);
   map_.emplace(b, lru_.begin());
@@ -54,7 +58,7 @@ void LruCache::set_capacity(std::size_t capacity) {
 void LruCache::reset() {
   lru_.clear();
   map_.clear();
-  hits_ = misses_ = 0;
+  hits_ = misses_ = evictions_ = 0;
   evicted_valid_ = false;
 }
 

@@ -33,6 +33,10 @@ class LruCache {
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
   double miss_ratio() const;
+  /// Adds this cache's accesses, hits and evictions to the sim.lru.*
+  /// counters. A simulation run calls it once, when the run ends, so the
+  /// per-access path touches no shared counter.
+  void publish_tallies() const;
 
   /// Clears contents and statistics.
   void reset();
@@ -51,6 +55,7 @@ class LruCache {
   std::unordered_map<Block, std::list<Block>::iterator> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
   bool evicted_valid_ = false;
   Block evicted_{};
 };

@@ -50,12 +50,16 @@ std::size_t PolicyCache::pick_victim() {
   return 0;
 }
 
+void PolicyCache::publish_tallies() const {
+  OCPS_OBS_COUNT("sim.policy.accesses", hits_ + misses_);
+  OCPS_OBS_COUNT("sim.policy.hits", hits_);
+  OCPS_OBS_COUNT("sim.policy.evictions", evictions_);
+}
+
 bool PolicyCache::access(Block b) {
-  OCPS_OBS_COUNT("sim.policy.accesses", 1);
   auto it = where_.find(b);
   if (it != where_.end()) {
     ++hits_;
-    OCPS_OBS_COUNT("sim.policy.hits", 1);
     if (policy_ == Policy::kClock) referenced_[it->second] = 1;
     return true;
   }
@@ -67,7 +71,7 @@ bool PolicyCache::access(Block b) {
     where_.emplace(b, slots_.size() - 1);
     return false;
   }
-  OCPS_OBS_COUNT("sim.policy.evictions", 1);
+  ++evictions_;
   std::size_t victim = pick_victim();
   where_.erase(slots_[victim]);
   slots_[victim] = b;
@@ -88,13 +92,14 @@ void PolicyCache::reset() {
   referenced_.clear();
   where_.clear();
   hand_ = 0;
-  hits_ = misses_ = 0;
+  hits_ = misses_ = evictions_ = 0;
 }
 
 double policy_miss_ratio(Policy policy, const Trace& trace,
                          std::size_t capacity, std::uint64_t seed) {
   PolicyCache cache(policy, capacity, seed);
   for (Block b : trace.accesses) cache.access(b);
+  cache.publish_tallies();
   return cache.miss_ratio();
 }
 

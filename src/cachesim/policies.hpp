@@ -36,6 +36,10 @@ class PolicyCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   double miss_ratio() const;
+  /// Adds this cache's accesses, hits and evictions to the sim.policy.*
+  /// counters. A simulation run calls it once, when the run ends, so the
+  /// per-access path touches no shared counter.
+  void publish_tallies() const;
   void reset();
 
  private:
@@ -52,6 +56,7 @@ class PolicyCache {
   std::size_t hand_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 /// Miss ratio of a whole trace under the given policy and capacity.

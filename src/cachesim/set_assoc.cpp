@@ -24,18 +24,22 @@ SetAssociativeCache::SetAssociativeCache(std::size_t num_sets,
   for (auto& s : sets_) s.lines.reserve(ways);
 }
 
+void SetAssociativeCache::publish_tallies() const {
+  OCPS_OBS_COUNT("sim.set_assoc.accesses", hits_ + misses_);
+  OCPS_OBS_COUNT("sim.set_assoc.hits", hits_);
+  OCPS_OBS_COUNT("sim.set_assoc.evictions", evictions_);
+}
+
 std::size_t SetAssociativeCache::set_index(Block b) const {
   return static_cast<std::size_t>(mix(b)) & mask_;
 }
 
 bool SetAssociativeCache::access(Block b) {
-  OCPS_OBS_COUNT("sim.set_assoc.accesses", 1);
   Set& set = sets_[set_index(b)];
   auto& lines = set.lines;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i] == b) {
       ++hits_;
-      OCPS_OBS_COUNT("sim.set_assoc.hits", 1);
       // Move to front (MRU).
       for (std::size_t j = i; j > 0; --j) lines[j] = lines[j - 1];
       lines[0] = b;
@@ -46,7 +50,7 @@ bool SetAssociativeCache::access(Block b) {
   if (lines.size() < ways_) {
     lines.insert(lines.begin(), b);
   } else {
-    OCPS_OBS_COUNT("sim.set_assoc.evictions", 1);
+    ++evictions_;
     for (std::size_t j = lines.size() - 1; j > 0; --j) lines[j] = lines[j - 1];
     lines[0] = b;
   }
@@ -61,7 +65,7 @@ double SetAssociativeCache::miss_ratio() const {
 
 void SetAssociativeCache::reset() {
   for (auto& s : sets_) s.lines.clear();
-  hits_ = misses_ = 0;
+  hits_ = misses_ = evictions_ = 0;
 }
 
 }  // namespace ocps

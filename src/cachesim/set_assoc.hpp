@@ -28,6 +28,10 @@ class SetAssociativeCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   double miss_ratio() const;
+  /// Adds this cache's accesses, hits and evictions to the sim.set_assoc.*
+  /// counters. A simulation run calls it once, when the run ends, so the
+  /// per-access path touches no shared counter.
+  void publish_tallies() const;
   void reset();
 
  private:
@@ -44,6 +48,7 @@ class SetAssociativeCache {
   std::size_t mask_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace ocps

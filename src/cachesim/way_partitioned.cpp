@@ -32,13 +32,23 @@ WayPartitionedCache::WayPartitionedCache(std::size_t num_sets,
   misses_.assign(quota_.size(), 0);
 }
 
+void WayPartitionedCache::publish_tallies() const {
+  std::uint64_t hits = 0, misses = 0;
+  for (std::size_t p = 0; p < quota_.size(); ++p) {
+    hits += hits_[p];
+    misses += misses_[p];
+  }
+  OCPS_OBS_COUNT("sim.way_partitioned.accesses", hits + misses);
+  OCPS_OBS_COUNT("sim.way_partitioned.hits", hits);
+  OCPS_OBS_COUNT("sim.way_partitioned.evictions", evictions_);
+}
+
 std::size_t WayPartitionedCache::set_index(Block b) const {
   return static_cast<std::size_t>(mix(b)) & (sets_ - 1);
 }
 
 bool WayPartitionedCache::access(Block b, std::uint32_t who) {
   OCPS_CHECK(who < quota_.size(), "program " << who << " has no quota");
-  OCPS_OBS_COUNT("sim.way_partitioned.accesses", 1);
   ++clock_;
   Line* base = &lines_[set_index(b) * ways_];
 
@@ -48,7 +58,6 @@ bool WayPartitionedCache::access(Block b, std::uint32_t who) {
     if (line.valid && line.owner == who && line.block == b) {
       line.last_used = clock_;
       ++hits_[who];
-      OCPS_OBS_COUNT("sim.way_partitioned.hits", 1);
       return true;
     }
   }
@@ -83,7 +92,7 @@ bool WayPartitionedCache::access(Block b, std::uint32_t who) {
     victim = own_lru;
   }
   if (!victim) return false;
-  if (victim->valid) OCPS_OBS_COUNT("sim.way_partitioned.evictions", 1);
+  if (victim->valid) ++evictions_;
   victim->valid = true;
   victim->block = b;
   victim->owner = who;
@@ -164,6 +173,7 @@ WayPartitionResult simulate_way_partitioned(
       }
     }
   }
+  cache.publish_tallies();
   WayPartitionResult out;
   out.per_program_mr.resize(way_quota.size());
   std::uint64_t th = 0, tm = 0;

@@ -37,6 +37,10 @@ class WayPartitionedCache {
   std::uint64_t misses(std::uint32_t who) const { return misses_[who]; }
   double miss_ratio(std::uint32_t who) const;
   double group_miss_ratio() const;
+  /// Adds this cache's accesses, hits and evictions to the
+  /// sim.way_partitioned.* counters. A simulation run calls it once, when
+  /// the run ends, so the per-access path touches no shared counter.
+  void publish_tallies() const;
 
  private:
   struct Line {
@@ -54,6 +58,7 @@ class WayPartitionedCache {
   std::vector<Line> lines_;  // sets_ * ways_, row-major per set
   std::vector<std::uint64_t> hits_;
   std::vector<std::uint64_t> misses_;
+  std::uint64_t evictions_ = 0;
   std::uint64_t clock_ = 0;
 };
 

@@ -38,14 +38,12 @@ void check_cost_table(CostMatrixView costs, std::size_t capacity) {
 // Emits the solve's span and metrics on every exit path: solve latency
 // histogram, cell-evaluation and solve counters, and the table size the
 // solve uses. Cells are read off the solver's running counter at exit.
-// Inert (one branch) when observability is off.
 class DpObsRecorder {
  public:
   DpObsRecorder(const std::uint64_t& cells, std::uint64_t table_bytes)
       : cells_(cells), cells_before_(cells), table_bytes_(table_bytes) {}
 
   ~DpObsRecorder() {
-    if (!span_.active()) return;
     const std::uint64_t cells = cells_ - cells_before_;
     span_.set_arg("cells", cells);
     OCPS_OBS_COUNT("dp.solves", 1);

@@ -53,6 +53,7 @@ CoRunResult simulate_switching(
       if (!hit) ++out.misses[who];
     }
   }
+  for (const LruCache& c : partitions) c.publish_tallies();
   return out;
 }
 

@@ -1,5 +1,5 @@
-// Build identity for the ocps_build_info exposition. Reported whether or
-// not OCPS_OBS is on — it describes the binary, not the telemetry state.
+// Build identity for the ocps_build_info exposition. It describes the
+// binary, not the telemetry state.
 #include <atomic>
 
 #include "obs/obs.hpp"

@@ -211,7 +211,6 @@ void record_prediction_errors(const DecisionRecord& rec,
                               WindowedHistogram* window,
                               std::uint64_t now_ns) {
   if (drift) drift->observe(rec, now_ns);
-  if (!enabled()) return;
   static Histogram& aggregate = histogram("dp.prediction_error");
   for (std::size_t i = 0; i < rec.error.size(); ++i) {
     const double err = rec.error[i];
@@ -232,7 +231,6 @@ void publish_decision_metrics(const DecisionLog& log,
                               const DriftDetector* drift,
                               const WindowedHistogram* window,
                               std::uint64_t now_ns) {
-  if (!enabled()) return;
   const DecisionAccuracy a = log.accuracy();
   gauge("dp.decision.total").set(static_cast<double>(a.decisions_total));
   gauge("dp.decision.reconciled")

@@ -19,12 +19,11 @@
 //    EWMA climbs and exactly one alert fires per excursion.
 //
 // Like SloTracker, both classes are deliberately independent of the
-// metrics registry and of the OCPS_OBS runtime flag: they cost a mutex
-// + a few vectors, every method takes `now_ns` explicitly (production
-// callers pass obs::now_ns()), and the `decisions` serve op answers from
-// them even with observability off.
+// metrics registry: they cost a mutex + a few vectors, every method
+// takes `now_ns` explicitly (production callers pass obs::now_ns()),
+// and the `decisions` serve op answers from them directly.
 // Only the helper functions at the bottom (histograms, gauges,
-// exemplars) touch the registry, and those gate on obs::enabled().
+// exemplars) touch the registry.
 //
 // Units: miss-ratio errors live in [-1, 1], which would collapse into
 // bucket 0 of the power-of-two log histograms. dp.prediction_error
@@ -226,8 +225,7 @@ class DriftDetector {
 };
 
 /// Feeds one freshly-reconciled record into the metrics plane: the
-/// drift detector (always, it is registry-independent), and — only
-/// when obs::enabled() — the dp.prediction_error lifetime histograms
+/// drift detector, the dp.prediction_error lifetime histograms
 /// (aggregate + per-tenant, ppm), the optional windowed histogram, and
 /// per-bucket exemplars keyed by the decision id. Call immediately
 /// after DecisionLog::reconcile returns kOk.
@@ -238,8 +236,8 @@ void record_prediction_errors(const DecisionRecord& rec,
 
 /// Publishes the dp.decision.* / dp.drift.* gauge families from the
 /// current log + detector state (ratio units), plus windowed
-/// dp.prediction_error quantile gauges when `window` is given. No-op
-/// when obs::enabled() is false. Call on scrape.
+/// dp.prediction_error quantile gauges when `window` is given. Call on
+/// scrape.
 void publish_decision_metrics(const DecisionLog& log,
                               const DriftDetector* drift,
                               const WindowedHistogram* window,

@@ -6,31 +6,25 @@
 #include <ostream>
 
 #include "obs/obs.hpp"
-#include "util/config.hpp"
 
 namespace ocps::obs {
 
 namespace detail {
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_flag("OCPS_OBS", false)};
-  return flag;
-}
-
-// Dense thread index used to pick a counter shard. Threads beyond
-// kCounterShards wrap around; the stripes stay contention-light either
-// way.
-std::size_t shard_index() {
-  static std::atomic<std::size_t> next{0};
-  thread_local std::size_t id =
-      next.fetch_add(1, std::memory_order_relaxed) % kCounterShards;
+std::uint32_t thread_index() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local std::uint32_t id =
+      next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
 }  // namespace detail
 
+// Threads beyond kCounterShards wrap around; the stripes stay
+// contention-light either way.
 void Counter::add(std::uint64_t n) noexcept {
-  shards_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+  shards_[detail::thread_index() % kCounterShards].v.fetch_add(
+      n, std::memory_order_relaxed);
 }
 
 std::uint64_t Counter::value() const noexcept {
@@ -180,7 +174,7 @@ Histogram& histogram(const std::string& name) {
 
 void note_exemplar(const std::string& name, double value,
                    std::uint64_t trace_id) {
-  if (!enabled() || trace_id == 0) return;
+  if (trace_id == 0) return;
   std::size_t i = Histogram::bucket_index(value);
   ExemplarStore& s = exemplar_store();
   std::lock_guard<std::mutex> lock(s.mu);

@@ -11,17 +11,15 @@
 //    parallel group sweep (util/parallel) never serializes on a metric;
 //    shards are merged only on scrape.
 //  * a trace-event layer — RAII spans with nanosecond steady_clock
-//    timestamps, recorded into fixed-size per-thread ring buffers
+//    timestamps, recorded into a fixed set of process-wide ring buffers
 //    (newest events win), exportable as Chrome `trace_event` JSON
 //    (chrome://tracing, Perfetto).
 //
-// Cost model:
-//  * off (default): every instrumentation site is a single
-//    well-predicted branch on a latched flag. Nothing is allocated,
-//    recorded, or printed, and results do not depend on the switch.
-//    BENCH_dp_speed.json records the cost of each state.
-//  * on: set OCPS_OBS=1 (or call set_enabled(true), which the CLI does
-//    for `ocps stats` / `--trace-out` / `--metrics-out`).
+// Both always record. Inner loops keep their own tallies and publish
+// them once per run (see src/cachesim), and the retained spans are
+// capped per process (kSpanRings x kRingCapacity events) whatever the
+// thread count. BENCH_dp_speed.json (observability_overhead) records
+// what recording costs the DP benches.
 //
 // Usage:
 //   OCPS_OBS_COUNT("sim.lru.hits", 1);
@@ -76,8 +74,8 @@ struct BuildInfo {
   std::string simd_kernel;  ///< active DP kernel ("avx2", "scalar", ...)
 };
 
-/// Snapshot of the build identity. Available whether or not obs is on —
-/// it describes the binary, not the telemetry state.
+/// Snapshot of the build identity: it describes the binary, not the
+/// telemetry state.
 BuildInfo build_info();
 
 /// Registers the lazy provider for BuildInfo::simd_kernel. The DP
@@ -86,11 +84,14 @@ BuildInfo build_info();
 /// build_info() reports "unknown".
 void set_simd_kernel_provider(const char* (*provider)());
 
-/// Events each per-thread ring holds before overwriting the oldest.
-inline constexpr std::size_t kRingCapacity = 4096;
-
-/// Number of counter/histogram shards; threads hash onto them.
+/// Number of counter shards and of span rings; threads pick both by
+/// their dense thread index.
 inline constexpr std::size_t kCounterShards = 16;
+inline constexpr std::size_t kSpanRings = kCounterShards;
+
+/// Events each span ring holds before overwriting the oldest, so the
+/// process retains at most kSpanRings * kRingCapacity = 4096 events.
+inline constexpr std::size_t kRingCapacity = 256;
 
 /// Histogram bucket count. Bucket 0 holds v < 1 (and non-finite values);
 /// bucket i in [1, kHistogramBuckets-2] holds 2^(i-1) <= v < 2^i; the
@@ -98,19 +99,10 @@ inline constexpr std::size_t kCounterShards = 16;
 inline constexpr std::size_t kHistogramBuckets = 64;
 
 namespace detail {
-std::atomic<bool>& enabled_flag();
+/// Dense index of the calling thread (0, 1, 2, ... in order of first
+/// use). Picks the counter shard and the span ring.
+std::uint32_t thread_index();
 }  // namespace detail
-
-/// True when observability is recording. Latched from the OCPS_OBS
-/// environment variable on first query; set_enabled() overrides.
-inline bool enabled() {
-  return detail::enabled_flag().load(std::memory_order_relaxed);
-}
-
-/// Runtime master switch (used by the CLI and tests).
-inline void set_enabled(bool on) {
-  detail::enabled_flag().store(on, std::memory_order_relaxed);
-}
 
 /// Monotonic nanoseconds since the process trace epoch (steady_clock).
 std::uint64_t now_ns();
@@ -246,10 +238,10 @@ void write_metrics_json(std::ostream& os);
 void write_metrics_text(std::ostream& os, const std::string& prefix = "");
 
 /// Remembers {trace_id, value} as the most recent exemplar for the bucket
-/// of histogram `name` that `value` lands in. No-op when observability is
-/// off or trace_id is 0. The store is keyed by histogram name, so the
-/// same exemplars annotate both the lifetime registry histogram and any
-/// windowed variant sharing the name.
+/// of histogram `name` that `value` lands in. No-op when trace_id is 0.
+/// The store is keyed by histogram name, so the same exemplars annotate
+/// both the lifetime registry histogram and any windowed variant sharing
+/// the name.
 void note_exemplar(const std::string& name, double value,
                    std::uint64_t trace_id);
 
@@ -266,8 +258,8 @@ std::vector<std::pair<std::size_t, Exemplar>> exemplars_for(
 /// OpenMetrics exemplar suffix: `... # {trace_id="N"} <value>`.
 void write_metrics_prometheus(std::ostream& os);
 
-/// RAII span: records a TraceEvent into the calling thread's ring buffer
-/// on destruction. Construction is a no-op when observability is off.
+/// RAII span: records a TraceEvent into the calling thread's span ring
+/// on destruction.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, const char* cat = "ocps") noexcept;
@@ -280,10 +272,8 @@ class ScopedSpan {
   /// Tags the span with a request correlation id; Chrome export links all
   /// spans sharing a non-zero trace_id into one flow across threads.
   void set_trace_id(std::uint64_t id) noexcept;
-  /// Nanoseconds since construction (0 when observability is off).
+  /// Nanoseconds since construction.
   std::uint64_t elapsed_ns() const noexcept;
-  /// True when the span is recording (observability was on at entry).
-  bool active() const noexcept { return active_; }
 
  private:
   const char* name_ = nullptr;
@@ -292,7 +282,6 @@ class ScopedSpan {
   std::uint64_t arg_ = 0;
   std::uint64_t trace_id_ = 0;
   std::uint64_t start_ns_ = 0;
-  bool active_ = false;
 };
 
 /// Records a zero-duration marker event. A non-zero `trace_id` tags the
@@ -301,7 +290,7 @@ void instant_event(const char* name, const char* cat = "ocps",
                    const char* arg_name = nullptr, std::uint64_t arg = 0,
                    std::uint64_t trace_id = 0) noexcept;
 
-/// All buffered events from every thread, sorted by start timestamp.
+/// All retained events from every thread, sorted by start timestamp.
 std::vector<TraceEvent> trace_events();
 
 /// Only the buffered events tagged with `trace_id` (non-zero), sorted by
@@ -318,34 +307,28 @@ void write_chrome_trace(std::ostream& os);
 
 }  // namespace ocps::obs
 
-/// Adds `n` to counter `name` when observability is on. The metric is
-/// resolved once per call site and cached.
+/// Adds `n` to counter `name`. The metric is resolved once per call
+/// site and cached.
 #define OCPS_OBS_COUNT(name, n)                                        \
   do {                                                                 \
-    if (::ocps::obs::enabled()) {                                      \
-      static ::ocps::obs::Counter& ocps_obs_counter_ =                 \
-          ::ocps::obs::counter(name);                                  \
-      ocps_obs_counter_.add(n);                                        \
-    }                                                                  \
+    static ::ocps::obs::Counter& ocps_obs_counter_ =                   \
+        ::ocps::obs::counter(name);                                    \
+    ocps_obs_counter_.add(n);                                          \
   } while (0)
 
-/// Records `v` into histogram `name` when observability is on.
+/// Records `v` into histogram `name`.
 #define OCPS_OBS_HIST(name, v)                                         \
   do {                                                                 \
-    if (::ocps::obs::enabled()) {                                      \
-      static ::ocps::obs::Histogram& ocps_obs_hist_ =                  \
-          ::ocps::obs::histogram(name);                                \
-      ocps_obs_hist_.observe(static_cast<double>(v));                  \
-    }                                                                  \
+    static ::ocps::obs::Histogram& ocps_obs_hist_ =                    \
+        ::ocps::obs::histogram(name);                                  \
+    ocps_obs_hist_.observe(static_cast<double>(v));                    \
   } while (0)
 
-/// Sets gauge `name` to `v` when observability is on.
+/// Sets gauge `name` to `v`.
 #define OCPS_OBS_GAUGE(name, v)                                        \
   do {                                                                 \
-    if (::ocps::obs::enabled()) {                                      \
-      static ::ocps::obs::Gauge& ocps_obs_gauge_ =                     \
-          ::ocps::obs::gauge(name);                                    \
-      ocps_obs_gauge_.set(static_cast<double>(v));                     \
-    }                                                                  \
+    static ::ocps::obs::Gauge& ocps_obs_gauge_ =                       \
+        ::ocps::obs::gauge(name);                                      \
+    ocps_obs_gauge_.set(static_cast<double>(v));                       \
   } while (0)
 

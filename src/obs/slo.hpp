@@ -10,12 +10,10 @@
 // window (1 h, de-flapping) to burn above threshold; breach edges are
 // appended to a bounded alert log.
 //
-// This module is deliberately independent of the obs registry and of the
-// OCPS_OBS switch: every method takes `now_ns` explicitly (deterministic
-// tests drive a synthetic clock, production callers pass obs::now_ns()),
-// so the serve daemon's `slo` op answers with observability off, exactly
-// like `slowlog`. Exporting burn rates as serve.slo.* gauges is the
-// caller's job and is what OCPS_OBS gates.
+// This module is deliberately independent of the obs registry: every
+// method takes `now_ns` explicitly (deterministic tests drive a
+// synthetic clock, production callers pass obs::now_ns()). Exporting
+// burn rates as serve.slo.* gauges is the caller's job.
 //
 // Thread safety: all methods lock an internal mutex; record() is O(1)
 // and status() is O(window seconds), called at scrape rate.

@@ -1,9 +1,8 @@
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <vector>
 
@@ -25,10 +24,10 @@ std::uint64_t trace_epoch() {
   return epoch;
 }
 
-// Per-thread event ring. push() is called only by the owning thread; a
-// tiny spinlock makes concurrent export (another thread scraping) safe
-// without ever contending on the hot path — the lock is uncontended
-// except during an export.
+// One of the process's kSpanRings event rings. Threads pick a ring by
+// their dense thread index, so with up to kSpanRings live threads each
+// ring has a single writer; a tiny spinlock keeps pushes from threads
+// that share a ring, and exports from another thread, safe.
 // A full ring overwrites its oldest event; obs.spans_dropped counts every
 // such overwrite so a truncated trace export is detectable from metrics.
 Counter& spans_dropped_counter() {
@@ -39,23 +38,20 @@ Counter& spans_dropped_counter() {
 struct SpanRing {
   std::vector<TraceEvent> events;  // capacity kRingCapacity, ring storage
   std::size_t next = 0;            // ring write position
-  std::uint64_t total = 0;         // events ever pushed
-  std::uint32_t tid = 0;
   std::atomic_flag lock = ATOMIC_FLAG_INIT;
 
-  void push(TraceEvent e) {
+  void push(const TraceEvent& e) {
     bool overwrote = false;
     while (lock.test_and_set(std::memory_order_acquire)) {
     }
-    e.tid = tid;
     if (events.size() < kRingCapacity) {
+      if (events.empty()) events.reserve(kRingCapacity);  // one block
       events.push_back(e);
     } else {
       events[next] = e;
       overwrote = true;
     }
     next = (next + 1) % kRingCapacity;
-    ++total;
     lock.clear(std::memory_order_release);
     if (overwrote) spans_dropped_counter().add(1);
   }
@@ -86,53 +82,18 @@ struct SpanRing {
   }
 };
 
-struct RingDirectory {
-  std::mutex mu;
-  std::vector<std::shared_ptr<SpanRing>> rings;
-  /// Rings of exited threads. The next new thread takes one over instead
-  /// of allocating, so a process that spawns a thread per connection
-  /// holds as many rings as it ever had live threads, not one per thread
-  /// it ever ran. The events already in a reused ring stay exportable.
-  std::vector<std::shared_ptr<SpanRing>> idle;
-  std::uint32_t next_tid = 1;
-};
-
-RingDirectory& directory() {
-  static RingDirectory* d = new RingDirectory();  // never destroyed
-  return *d;
+std::array<SpanRing, kSpanRings>& rings() {
+  spans_dropped_counter();  // register eagerly: scrapes always show it
+  static auto* r = new std::array<SpanRing, kSpanRings>();  // never destroyed
+  return *r;
 }
 
-// A thread's claim on one ring, handed back to the directory at exit.
-struct RingLease {
-  std::shared_ptr<SpanRing> ring;
-
-  RingLease() {
-    spans_dropped_counter();  // register eagerly: scrapes always show it
-    RingDirectory& d = directory();
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (!d.idle.empty()) {
-      ring = std::move(d.idle.back());
-      d.idle.pop_back();
-    } else {
-      ring = std::make_shared<SpanRing>();
-      ring->events.reserve(kRingCapacity);
-      d.rings.push_back(ring);  // directory keeps rings past thread exit
-    }
-    // A fresh tid per thread: events carry the tid they were pushed
-    // with, so a reused ring never merges two threads' tracks.
-    ring->tid = d.next_tid++;
-  }
-
-  ~RingLease() {
-    RingDirectory& d = directory();
-    std::lock_guard<std::mutex> lock(d.mu);
-    d.idle.push_back(std::move(ring));
-  }
-};
-
-SpanRing& this_thread_ring() {
-  thread_local RingLease lease;
-  return *lease.ring;
+// Stamps the calling thread's tid (dense index + 1, so 0 never names a
+// thread) and files the event in that thread's ring.
+void record(TraceEvent e) {
+  const std::uint32_t index = detail::thread_index();
+  e.tid = index + 1;
+  rings()[index % kSpanRings].push(e);
 }
 
 void escape(std::ostream& os, const char* s) {
@@ -151,16 +112,10 @@ std::uint64_t now_ns() {
   return steady_now_raw() - epoch;
 }
 
-ScopedSpan::ScopedSpan(const char* name, const char* cat) noexcept {
-  if (!enabled()) return;
-  name_ = name;
-  cat_ = cat;
-  start_ns_ = now_ns();
-  active_ = true;
-}
+ScopedSpan::ScopedSpan(const char* name, const char* cat) noexcept
+    : name_(name), cat_(cat), start_ns_(now_ns()) {}
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
   TraceEvent e;
   e.name = name_;
   e.cat = cat_;
@@ -170,7 +125,7 @@ ScopedSpan::~ScopedSpan() {
   e.arg = arg_;
   e.trace_id = trace_id_;
   e.instant = false;
-  this_thread_ring().push(e);
+  record(e);
 }
 
 void ScopedSpan::set_arg(const char* key, std::uint64_t value) noexcept {
@@ -181,12 +136,11 @@ void ScopedSpan::set_arg(const char* key, std::uint64_t value) noexcept {
 void ScopedSpan::set_trace_id(std::uint64_t id) noexcept { trace_id_ = id; }
 
 std::uint64_t ScopedSpan::elapsed_ns() const noexcept {
-  return active_ ? now_ns() - start_ns_ : 0;
+  return now_ns() - start_ns_;
 }
 
 void instant_event(const char* name, const char* cat, const char* arg_name,
                    std::uint64_t arg, std::uint64_t trace_id) noexcept {
-  if (!enabled()) return;
   TraceEvent e;
   e.name = name;
   e.cat = cat;
@@ -196,18 +150,12 @@ void instant_event(const char* name, const char* cat, const char* arg_name,
   e.arg = arg;
   e.trace_id = trace_id;
   e.instant = true;
-  this_thread_ring().push(e);
+  record(e);
 }
 
 std::vector<TraceEvent> trace_events() {
-  std::vector<std::shared_ptr<SpanRing>> rings;
-  {
-    RingDirectory& d = directory();
-    std::lock_guard<std::mutex> lock(d.mu);
-    rings = d.rings;
-  }
   std::vector<TraceEvent> out;
-  for (const auto& r : rings) r->snapshot(&out);
+  for (SpanRing& r : rings()) r.snapshot(&out);
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;
@@ -224,13 +172,7 @@ std::vector<TraceEvent> trace_events_for(std::uint64_t trace_id) {
 }
 
 void clear_trace_events() {
-  std::vector<std::shared_ptr<SpanRing>> rings;
-  {
-    RingDirectory& d = directory();
-    std::lock_guard<std::mutex> lock(d.mu);
-    rings = d.rings;
-  }
-  for (const auto& r : rings) r->clear();
+  for (SpanRing& r : rings()) r.clear();
 }
 
 void write_chrome_trace(std::ostream& os) {

@@ -149,8 +149,8 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
   // Decision-quality plane: every allocation decision goes on the audit
   // trail with its predicted miss ratios; one epoch later the realized
   // ratios reconcile it and the signed errors feed the drift detector.
-  // All of it is independent of the metrics registry (and of OCPS_OBS),
-  // and none of it touches the allocation math above.
+  // All of it is independent of the metrics registry, and none of it
+  // touches the allocation math above.
   out.decisions =
       std::make_shared<obs::DecisionLog>(config.decision_log_capacity);
   obs::DriftConfig drift_config;
@@ -441,6 +441,7 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
       ++epoch_misses[who];
     }
   }
+  for (const LruCache& c : partitions) c.publish_tallies();
   // Account for the (partial) final epoch's sampling too.
   for (const auto& profiler : profilers)
     sampled_total += profiler.sampled_accesses();

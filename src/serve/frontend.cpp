@@ -211,27 +211,19 @@ bool Frontend::stop() {
 }
 
 void Frontend::refresh() {
-  if (obs::enabled()) {
-    const ProcessStats s = read_process_stats();
-    obs::gauge("process.threads").set(static_cast<double>(s.threads));
-    obs::gauge("process.open_fds").set(static_cast<double>(s.open_fds));
-    obs::gauge("process.resident_bytes")
-        .set(static_cast<double>(s.resident_bytes));
-    obs::gauge("process.memory_maps").set(static_cast<double>(s.memory_maps));
-    obs::gauge("process.live_connections")
-        .set(static_cast<double>(s.live_connections));
-  }
+  const ProcessStats s = read_process_stats();
+  obs::gauge("process.threads").set(static_cast<double>(s.threads));
+  obs::gauge("process.open_fds").set(static_cast<double>(s.open_fds));
+  obs::gauge("process.resident_bytes")
+      .set(static_cast<double>(s.resident_bytes));
+  obs::gauge("process.memory_maps").set(static_cast<double>(s.memory_maps));
+  obs::gauge("process.live_connections")
+      .set(static_cast<double>(s.live_connections));
   if (hooks_.refresh) hooks_.refresh();
 }
 
 void Frontend::answer_metrics(Connection& conn, std::int64_t id,
                               json::Value body) {
-  if (!obs::enabled()) {
-    conn.send_line(error_response(
-        id, kCodeObsDisabled,
-        "observability disabled (OCPS_OBS unset)"));
-    return;
-  }
   refresh();
   std::ostringstream prom;
   obs::write_metrics_prometheus(prom);
@@ -297,8 +289,7 @@ void Frontend::accept_loop() {
       if (refusal.empty()) continue;
       // Explicit refusal beats a silent drop or a backlog timeout: the
       // client gets a line it can parse and retry against a replica.
-      if (obs::enabled())
-        obs::counter(config_.metric_prefix + ".conn_limit_rejected").add(1);
+      obs::counter(config_.metric_prefix + ".conn_limit_rejected").add(1);
       conn->send_line(error_response(0, kCodeShuttingDown, refusal));
     }
   }
@@ -379,7 +370,7 @@ void Frontend::http_loop() {
 }
 
 // Minimal HTTP/1.1 responder: reads the request head (bounded), then
-// answers the 405/404/501/200 ladder; a 200 scrape is refreshed first so
+// answers the 405/404/200 ladder; a 200 scrape is refreshed first so
 // derived gauges are current.
 void Frontend::answer_scrape(int fd) {
   // Read the request head; scrapers send tiny GETs, so bound everything.
@@ -425,14 +416,6 @@ void Frontend::answer_scrape(int fd) {
   if (path != "/metrics" && path != "/") {
     reply("404 Not Found", "text/plain; charset=utf-8",
           "unknown path; scrape /metrics\n");
-    return;
-  }
-  if (!obs::enabled()) {
-    // Explicit status instead of an empty page: with obs off there is
-    // nothing to expose, and a scraper should see that as a config
-    // problem, not an idle daemon.
-    reply("501 Not Implemented", "text/plain; charset=utf-8",
-          "observability disabled (run ocps serve, or set OCPS_OBS=1)\n");
     return;
   }
   refresh();

@@ -125,9 +125,8 @@ class Frontend {
   /// scrape (HTTP or the `metrics` op) goes through here.
   void refresh();
 
-  /// Answers a `metrics` request: 501 with obs off, else `body` plus the
-  /// refreshed registry as JSON ("metrics") and Prometheus text
-  /// ("prometheus").
+  /// Answers a `metrics` request: `body` plus the refreshed registry as
+  /// JSON ("metrics") and Prometheus text ("prometheus").
   void answer_metrics(Connection& conn, std::int64_t id, json::Value body);
 
   /// Ports actually bound (for ephemeral requests); 0 when off.

@@ -270,32 +270,30 @@ Result<bool> Router::start() {
   // first Prometheus scrape must expose the complete serve.router.*
   // series, zero-valued, before any traffic or fault has occurred —
   // dashboards and alert rules need the series to exist to match on it.
-  if (obs::enabled()) {
-    static const char* kCounters[] = {
-        "serve.router.requests",        "serve.router.forwarded",
-        "serve.router.failovers",       "serve.router.relayed_errors",
-        "serve.router.no_backend",      "serve.router.all_open",
-        "serve.router.malformed",       "serve.router.reloads",
-        "serve.router.deadline_exceeded", "serve.router.health_probes",
-        "serve.router.health_failures", "serve.router.conn_limit_rejected",
-    };
-    for (const char* name : kCounters) obs::counter(name);
-    obs::gauge("serve.router.backends")
-        .set(static_cast<double>(backends_.size()));
-    obs::gauge("serve.router.backends_healthy").set(0.0);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      obs::gauge("serve.router.backend_up." + std::to_string(i)).set(0.0);
-      obs::histogram("serve.router.backend_latency." + std::to_string(i));
-      obs::gauge("serve.router.backend_latency." + std::to_string(i) +
-                 ".window.p99")
-          .set(0.0);
-    }
-    static const char* kFleet[] = {
-        "serve.fleet.requests", "serve.fleet.answered", "serve.fleet.shed",
-        "serve.fleet.deadline_exceeded"};
-    for (const char* name : kFleet) obs::gauge(name).set(0.0);
-    if (slo_->configured()) refresh_gauges();
+  static const char* kCounters[] = {
+      "serve.router.requests",        "serve.router.forwarded",
+      "serve.router.failovers",       "serve.router.relayed_errors",
+      "serve.router.no_backend",      "serve.router.all_open",
+      "serve.router.malformed",       "serve.router.reloads",
+      "serve.router.deadline_exceeded", "serve.router.health_probes",
+      "serve.router.health_failures", "serve.router.conn_limit_rejected",
+  };
+  for (const char* name : kCounters) obs::counter(name);
+  obs::gauge("serve.router.backends")
+      .set(static_cast<double>(backends_.size()));
+  obs::gauge("serve.router.backends_healthy").set(0.0);
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    obs::gauge("serve.router.backend_up." + std::to_string(i)).set(0.0);
+    obs::histogram("serve.router.backend_latency." + std::to_string(i));
+    obs::gauge("serve.router.backend_latency." + std::to_string(i) +
+               ".window.p99")
+        .set(0.0);
   }
+  static const char* kFleet[] = {
+      "serve.fleet.requests", "serve.fleet.answered", "serve.fleet.shed",
+      "serve.fleet.deadline_exceeded"};
+  for (const char* name : kFleet) obs::gauge(name).set(0.0);
+  if (slo_->configured()) refresh_gauges();
 
   started_at_ = Clock::now();
   Result<bool> listening = frontend_.start();
@@ -415,7 +413,6 @@ std::uint64_t Router::next_trace_nonce() {
 }
 
 void Router::record_backend_latency(std::size_t idx, double ms) {
-  if (!obs::enabled()) return;
   backends_[idx]->latency_window.observe(ms);
   obs::histogram("serve.router.backend_latency." + std::to_string(idx))
       .observe(ms);
@@ -692,7 +689,7 @@ void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
   const std::string probe_line = encode_request(probe);
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
     Result<Response> r = call_backend(lane, idx, probe_line);
-    if (!r.ok() || !r.value().ok) continue;  // e.g. 501: obs off there
+    if (!r.ok() || !r.value().ok) continue;
     const json::Value* backend_procs = r.value().body.find("procs");
     if (!backend_procs || !backend_procs->is_array()) continue;
     for (const json::Value& proc : backend_procs->as_array()) {
@@ -711,8 +708,7 @@ void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
 
 void Router::handle_slo_local(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
-  // Same body as the daemon's `slo` answer plus the router role marker;
-  // answers even with obs off (the tracker is registry-independent).
+  // Same body as the daemon's `slo` answer plus the router role marker.
   json::Value body = slo_json(*slo_);
   body.set("role", json::Value("router"));
   conn->send_line(ok_response(req.id, std::move(body)));
@@ -788,7 +784,7 @@ void Router::handle_reconcile_local(const std::shared_ptr<Connection>& conn,
 void Router::health_loop() {
   Request probe;
   probe.id = -1;
-  probe.op = Op::kMetrics;
+  probe.op = Op::kHealth;
   const std::string probe_line = encode_request(probe);
 
   while (!frontend_.stop_requested()) {
@@ -812,25 +808,17 @@ void Router::health_loop() {
       if (b.probe_client.connected()) {
         Result<Response> r =
             b.probe_client.call(probe_line, config_.io_timeout);
-        if (r.ok() &&
-            (r.value().ok || r.value().code == kCodeObsDisabled)) {
-          // 501 = obs off on the backend: alive, just not scrapeable.
+        if (r.ok() && r.value().ok) {
           okay = true;
-          if (r.value().ok) {
-            const json::Value* metrics = r.value().body.find("metrics");
-            const json::Value* counters =
-                metrics ? metrics->find("counters") : nullptr;
-            if (counters) {
-              auto pick = [&](const char* name) {
-                const json::Value* v = counters->find(name);
-                return v && v->is_number() ? v->as_number() : 0.0;
-              };
-              std::lock_guard<std::mutex> lock(b.fleet_mu);
-              b.fleet_requests = pick("serve.requests");
-              b.fleet_answered = pick("serve.answered");
-              b.fleet_shed = pick("serve.shed");
-              b.fleet_deadline = pick("serve.deadline_exceeded");
-            }
+          // The backend's own health counters: a registry counter would
+          // count every backend sharing this process.
+          const json::Value* counters = r.value().body.find("counters");
+          if (counters) {
+            std::lock_guard<std::mutex> lock(b.fleet_mu);
+            b.fleet_requests = counters->get_number("requests", 0.0);
+            b.fleet_answered = counters->get_number("answered", 0.0);
+            b.fleet_shed = counters->get_number("shed", 0.0);
+            b.fleet_deadline = counters->get_number("deadline_exceeded", 0.0);
           }
         } else if (!r.ok()) {
           b.probe_client = Client();  // reconnect next round
@@ -854,7 +842,6 @@ void Router::health_loop() {
 }
 
 void Router::refresh_gauges() {
-  if (!obs::enabled()) return;
   std::size_t healthy = 0;
   double requests = 0.0, answered = 0.0, shed = 0.0, deadline = 0.0;
   for (std::size_t i = 0; i < backends_.size(); ++i) {

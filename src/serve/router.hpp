@@ -11,7 +11,7 @@
 //     request's profile-set id (its sorted program list), so a tenant's
 //     queries keep landing on the same backend (warm DP prefix state)
 //     and adding a backend only remaps ~1/N of the key space.
-//   * Health: a prober thread scrapes every backend's `metrics` op on a
+//   * Health: a prober thread calls every backend's `health` op on a
 //     fixed interval, feeding the same per-backend circuit breaker the
 //     request path uses — a dead backend is ejected within a few probe
 //     intervals even with zero traffic.
@@ -31,7 +31,7 @@
 //     router-level health lists per-backend breaker state, and the
 //     metrics registry carries `serve.router.*` counters, per-backend
 //     `serve.router.backend_latency.<i>` histograms, and
-//     `serve.fleet.*` aggregates ingested from backend scrapes. The
+//     `serve.fleet.*` sums of the backends' `health` counters. The
 //     optional loopback HTTP listener exposes the same registry to
 //     Prometheus (shared responder in socket_util).
 //   * Tracing: every forwarded request carries a trace context —

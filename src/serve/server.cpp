@@ -283,15 +283,13 @@ Result<bool> Server::start() {
   // Eager registration: the per-stage histograms and SLO gauges exist
   // from the first scrape (zero-valued before traffic) so dashboards and
   // the CI exposition checker see a stable series set.
-  if (obs::enabled()) {
-    for (const char* stage : kStageNames)
-      obs::histogram(std::string("serve.stage.") + stage);
-    obs::histogram("dp.prediction_error");
-    obs::publish_decision_metrics(*decisions_, drift_.get(),
-                                  &telemetry_->window_prediction_error,
-                                  obs::now_ns());
-    if (slo_->configured()) refresh_latency_gauges();
-  }
+  for (const char* stage : kStageNames)
+    obs::histogram(std::string("serve.stage.") + stage);
+  obs::histogram("dp.prediction_error");
+  obs::publish_decision_metrics(*decisions_, drift_.get(),
+                                &telemetry_->window_prediction_error,
+                                obs::now_ns());
+  if (slo_->configured()) refresh_latency_gauges();
 
   started_at_ = Clock::now();
   Result<bool> listening = frontend_.start();
@@ -624,12 +622,6 @@ void Server::handle_slowlog(const std::shared_ptr<Connection>& conn,
 
 void Server::handle_trace(const std::shared_ptr<Connection>& conn,
                           const Request& req) {
-  if (!obs::enabled()) {
-    conn->send_line(error_response(
-        req.id, kCodeObsDisabled,
-        "observability disabled (OCPS_OBS unset)"));
-    return;
-  }
   json::Value body;
   body.set("trace_id", json::Value(static_cast<double>(req.trace_id)));
   json::Array procs;
@@ -641,14 +633,14 @@ void Server::handle_trace(const std::shared_ptr<Connection>& conn,
 void Server::handle_slo(const std::shared_ptr<Connection>& conn,
                         const Request& req) {
   // Like slowlog, the SLO engine is server-owned state independent of
-  // the obs registry: it answers even with obs off.
+  // the obs registry.
   conn->send_line(ok_response(req.id, slo_json(*slo_)));
 }
 
 void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
   // Like slo/slowlog, the decision log is server-owned state independent
-  // of the obs registry: it answers even with obs off.
+  // of the obs registry.
   json::Value body;
   if (req.decision_id != 0) {
     obs::DecisionRecord rec;
@@ -1024,7 +1016,7 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
   // of two) is what the exposition quantiles work from, and ms buckets
   // read naturally on a dashboard.
   OCPS_OBS_HIST("serve.request_latency", ms);
-  if (obs::enabled()) telemetry_->window.observe(ms);
+  telemetry_->window.observe(ms);
 
   // Stage decomposition. solve / serialize / network come straight from
   // the stamps; queue_wait is the remainder — queue backlog plus
@@ -1036,18 +1028,14 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
   stage_ms[3] = std::max(0.0, ms_since(send_start, now));
   stage_ms[0] =
       std::max(0.0, ms - stage_ms[1] - stage_ms[2] - stage_ms[3]);
-  if (obs::enabled()) {
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-      std::string name = std::string("serve.stage.") + kStageNames[i];
-      obs::histogram(name).observe(stage_ms[i]);
-      obs::note_exemplar(name, stage_ms[i], p.req.trace_id);
-      telemetry_->stage(i).observe(stage_ms[i]);
-    }
-    obs::note_exemplar("serve.request_latency", ms, p.req.trace_id);
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    std::string name = std::string("serve.stage.") + kStageNames[i];
+    obs::histogram(name).observe(stage_ms[i]);
+    obs::note_exemplar(name, stage_ms[i], p.req.trace_id);
+    telemetry_->stage(i).observe(stage_ms[i]);
   }
+  obs::note_exemplar("serve.request_latency", ms, p.req.trace_id);
 
-  // SLO accounting does not depend on OCPS_OBS, so burn rates keep
-  // working with observability off.
   slo_->record(ms, answered, obs::now_ns());
 
   Telemetry::SlowEntry entry;

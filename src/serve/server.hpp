@@ -35,7 +35,8 @@
 // histograms, counters serve.requests / serve.shed /
 // serve.deadline_exceeded / serve.malformed / serve.reloads /
 // serve.reload_rejected / serve.batches. `health` reads the same
-// numbers from the server's own atomics so it works with obs off.
+// numbers from this server's own atomics, so in a process hosting
+// several servers each reports only its own traffic.
 #pragma once
 
 #include <atomic>
@@ -91,16 +92,14 @@ struct ServeConfig {
 
   /// Declarative SLOs (0 = objective off). Evaluated as multi-window
   /// burn rates (obs/slo.hpp) on every answered solver request; exposed
-  /// as `serve.slo.*` gauges and via the `slo` op (which, like
-  /// `slowlog`, answers even with obs off).
+  /// as `serve.slo.*` gauges and via the `slo` op.
   double slo_p99_ms = 0.0;       ///< p99 end-to-end latency target, ms
   double slo_availability = 0.0; ///< success-rate target, e.g. 0.999
 
   /// Decision-quality plane (obs/decision_log.hpp): every answered
   /// `partition` request is logged with its predicted miss ratios and a
   /// decision id the client can later `reconcile` with realized ratios.
-  /// Like the SLO tracker, the log answers `decisions` even with obs
-  /// off; drift *alerting* engages only when drift_threshold > 0.
+  /// Drift *alerting* engages only when drift_threshold > 0.
   std::size_t decision_log_capacity = 128;
   double drift_alpha = 0.25;     ///< EWMA weight of the newest error
   double drift_threshold = 0.0;  ///< |error| EWMA breach level, 0 = off
@@ -203,7 +202,7 @@ class Server {
   std::uint64_t profile_version() const;
 
   /// Plain-data counters mirrored into the obs registry; `health`
-  /// responses are assembled from these so they work with obs off.
+  /// responses are assembled from these.
   struct Counters {
     std::uint64_t requests = 0;     ///< lines received (any op)
     std::uint64_t answered = 0;     ///< solver requests answered ok
@@ -300,15 +299,13 @@ class Server {
   std::unique_ptr<Telemetry> telemetry_;
 
   /// Burn-rate SLO evaluation (obs/slo.hpp); always constructed, inert
-  /// when no objective is configured. Independent of the obs registry so
-  /// the `slo` op answers even with obs off.
+  /// when no objective is configured. Independent of the obs registry.
   std::unique_ptr<obs::SloTracker> slo_;
 
   /// Decision audit trail + drift detector (obs/decision_log.hpp); like
-  /// slo_, always constructed and registry-independent, so `decisions`
-  /// answers with obs off. The batching thread records, `reconcile`
-  /// attaches realized ratios, scrapes publish the dp.decision.* /
-  /// dp.drift.* gauges.
+  /// slo_, always constructed and registry-independent. The batching
+  /// thread records, `reconcile` attaches realized ratios, scrapes
+  /// publish the dp.decision.* / dp.drift.* gauges.
   std::unique_ptr<obs::DecisionLog> decisions_;
   std::unique_ptr<obs::DriftDetector> drift_;
   /// Profile-set version stamped on the previous decision; the first

@@ -23,9 +23,9 @@
 // rethrown on the calling thread after the loop quiesces, matching the
 // old parallel_for contract.
 //
-// Observability (when OCPS_OBS=1): gauge `pool.threads`, counters
-// `pool.jobs_executed`, `pool.jobs_stolen`, `pool.loops`, and gauge
-// `pool.queue_depth` sampled at submission time.
+// Observability: gauge `pool.threads`, counters `pool.jobs_executed`,
+// `pool.jobs_stolen`, `pool.loops`, and gauge `pool.queue_depth` sampled
+// at submission time.
 #pragma once
 
 #include <atomic>

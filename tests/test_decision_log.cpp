@@ -295,11 +295,7 @@ TEST(DriftDetectorTest, AlertAttributesWorstTenant) {
 
 class DecisionMetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::set_enabled(true);
-    obs::reset_metrics();
-  }
-  void TearDown() override { obs::set_enabled(false); }
+  void SetUp() override { obs::reset_metrics(); }
 };
 
 TEST_F(DecisionMetricsTest, NonFinitePredictionErrorLandsInBucketZero) {

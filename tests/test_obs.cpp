@@ -24,11 +24,9 @@ namespace {
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::set_enabled(true);
     obs::reset_metrics();
     obs::clear_trace_events();
   }
-  void TearDown() override { obs::set_enabled(false); }
 };
 
 // ---------------------------------------------------------------- metrics
@@ -143,16 +141,6 @@ TEST_F(ObsTest, ResetZeroesButKeepsAddresses) {
   EXPECT_EQ(obs::histogram("test.reset_hist").count(), 1u);
 }
 
-TEST_F(ObsTest, DisabledSitesRecordNothing) {
-  obs::set_enabled(false);
-  OCPS_OBS_COUNT("test.disabled_counter", 1);
-  obs::ScopedSpan span("test.disabled_span", "test");
-  EXPECT_FALSE(span.active());
-  EXPECT_EQ(span.elapsed_ns(), 0u);
-  obs::set_enabled(true);
-  EXPECT_EQ(obs::counter("test.disabled_counter").value(), 0u);
-}
-
 // ----------------------------------------------------------------- spans
 
 TEST_F(ObsTest, RingOverwriteKeepsNewestEvents) {
@@ -172,7 +160,6 @@ TEST_F(ObsTest, SpansRecordDurationAndArgs) {
   {
     obs::ScopedSpan span("test.span", "test");
     span.set_arg("size", 17);
-    EXPECT_TRUE(span.active());
   }
   bool found = false;
   for (const auto& e : obs::trace_events()) {
@@ -195,6 +182,24 @@ TEST_F(ObsTest, EventsFromMultipleThreadsCarryDistinctTids) {
     if (std::string(e.name) == "test.tid") tids.push_back(e.tid);
   ASSERT_EQ(tids.size(), 2u);
   EXPECT_NE(tids[0], tids[1]);
+}
+
+TEST_F(ObsTest, RetainedSpansAreBoundedPerProcess) {
+  // Threads share the process's span rings, so the retained events stay
+  // capped however many threads record, and every overwrite is counted.
+  constexpr std::uint64_t kThreads = 64;
+  constexpr std::uint64_t kPerThread = 1000;
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i)
+        obs::ScopedSpan span("test.bounded", "test");
+    });
+  for (auto& w : workers) w.join();
+  const std::uint64_t retained = obs::trace_events().size();
+  EXPECT_LE(retained, 4096u);
+  EXPECT_EQ(obs::counter("obs.spans_dropped").value(),
+            kThreads * kPerThread - retained);
 }
 
 // ---------------------------------------------- minimal JSON round-trip
@@ -527,7 +532,7 @@ TEST_F(ObsTest, PrometheusExpositionIsWellFormed) {
 }
 
 TEST_F(ObsTest, SpansDroppedCountsRingOverwrites) {
-  // Fill this thread's ring exactly, then push 7 more: each overwrite
+  // Fill this thread's span ring exactly, then push 7 more: each overwrite
   // bumps obs.spans_dropped so truncated exports are detectable.
   for (std::uint64_t i = 0; i < obs::kRingCapacity; ++i)
     obs::instant_event("test.fill", "test", "i", i);
@@ -671,15 +676,9 @@ TEST_F(ObsTest, ExemplarStoreKeepsLatestPerBucket) {
   EXPECT_TRUE(obs::exemplars_for("test.ex").empty());
 }
 
-TEST_F(ObsTest, ExemplarIgnoresUntracedAndDisabledObservations) {
+TEST_F(ObsTest, ExemplarIgnoresUntracedObservations) {
   // trace_id 0 means "no trace attached" — never an exemplar.
   obs::note_exemplar("test.ex_skip", 5.0, 0);
-  EXPECT_TRUE(obs::exemplars_for("test.ex_skip").empty());
-
-  // With observability off the store must not accumulate.
-  obs::set_enabled(false);
-  obs::note_exemplar("test.ex_skip", 5.0, 77);
-  obs::set_enabled(true);
   EXPECT_TRUE(obs::exemplars_for("test.ex_skip").empty());
 }
 
@@ -752,8 +751,8 @@ TEST_F(ObsTest, TraceEventsForReturnsOnlyTaggedEvents) {
 
 // ------------------------------------------------------------ SLO tracker
 //
-// The SloTracker is deliberately independent of the OCPS_OBS switch (the
-// `slo` op answers with observability off). All clocks are synthetic.
+// The SloTracker is deliberately independent of the metrics registry.
+// All clocks are synthetic.
 
 namespace slo_test {
 constexpr std::uint64_t kSec = 1000000000ULL;

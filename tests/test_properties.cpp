@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -19,6 +20,7 @@
 #include "locality/hotl.hpp"
 #include "sched/symbiosis.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace_io.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -162,6 +164,12 @@ std::string join_lines(const std::vector<std::string>& lines) {
   return out;
 }
 
+// Flips 1-4 random bits of `s` in place.
+void flip_bits(std::string& s, Rng& rng) {
+  for (std::uint64_t k = 1 + rng.below(4); k > 0 && !s.empty(); --k)
+    s[rng.below(s.size())] ^= static_cast<char>(1u << rng.below(8));
+}
+
 TEST(Hardening, FootprintLoaderSurvivesFuzz) {
   // Random garbage must throw CheckError (or parse), never crash or
   // silently return a bogus curve with NaNs.
@@ -207,9 +215,7 @@ TEST(Hardening, FootprintLoaderSurvivesFuzz) {
     std::string text = valid;
     switch (rng.below(5)) {
       case 0:
-        for (std::uint64_t k = 1 + rng.below(4); k > 0; --k)
-          text[rng.below(text.size())] ^=
-              static_cast<char>(1u << rng.below(8));
+        flip_bits(text, rng);
         break;
       case 1:
         text.resize(rng.below(text.size()));
@@ -246,6 +252,90 @@ TEST(Hardening, FootprintLoaderSurvivesFuzz) {
   }
   std::remove(path.c_str());
   EXPECT_GT(rejected, 0u);
+}
+
+TEST(Hardening, TraceLoadersSurviveFuzz) {
+  // Seeded mutations of a valid binary trace: byte flips, truncation, a
+  // huge header count, and random bytes. Each must load to a Trace no
+  // longer than its payload or throw CheckError — never crash.
+  const std::string path =
+      std::filesystem::temp_directory_path().string() + "/ocps_fuzz.trace";
+  save_trace_binary(make_zipf(500, 60, 0.9, 41), path);
+  std::string valid;
+  {
+    std::ifstream is(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(valid.size(), 16u + 500u * sizeof(Block));
+  Rng rng(778);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data = valid;
+    switch (rng.below(4)) {
+      case 0:
+        flip_bits(data, rng);
+        break;
+      case 1:
+        data.resize(rng.below(data.size()));
+        break;
+      case 2: {
+        const std::uint64_t n = rng.chance(0.5)
+                                    ? ~std::uint64_t{0}
+                                    : rng.next() >> rng.below(64);
+        std::memcpy(&data[8], &n, sizeof(n));
+        break;
+      }
+      default:
+        data.resize(rng.below(256));
+        for (char& c : data) c = static_cast<char>(rng.below(256));
+        if (rng.chance(0.5) && data.size() >= 8) data.replace(0, 8, "OCPSTRC1");
+        break;
+    }
+    {
+      std::ofstream os(path, std::ios::trunc | std::ios::binary);
+      os << data;
+    }
+    try {
+      Trace t = load_trace_binary(path);
+      EXPECT_LE(16 + t.length() * sizeof(Block), data.size());
+    } catch (const CheckError&) {
+      ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, 0u);
+
+  // The text parsers: mutated valid address text and random printable
+  // bytes. The address parser parses or throws CheckError; the token
+  // parser accepts any text, one access per token.
+  const std::string text =
+      "R 0x40\nW 128\n# comment\n0x1000 # tail\ni 0X7f\n\n64\nw 0x40\n";
+  ASSERT_EQ(parse_address_trace(text, 64).length(), 6u);
+  const char kAlphabet[] = "0123456789abcdefxXrRwWiI# \t\n-+.";
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string data = text;
+    switch (rng.below(3)) {
+      case 0:
+        flip_bits(data, rng);
+        break;
+      case 1:
+        data.resize(rng.below(data.size()));
+        break;
+      default:
+        data.resize(rng.below(200));
+        for (char& c : data)
+          c = rng.chance(0.1) ? static_cast<char>(rng.below(256))
+                              : kAlphabet[rng.below(sizeof(kAlphabet) - 1)];
+        break;
+    }
+    try {
+      Trace t = parse_address_trace(data, 1 + rng.below(128));
+      EXPECT_LE(t.length(), data.size());
+    } catch (const CheckError&) {
+    }
+    EXPECT_LE(parse_token_trace(data).length(), data.size());
+  }
 }
 
 TEST(Hardening, SchemeEvaluationRejectsOversizedIndices) {

@@ -87,11 +87,7 @@ bool wait_for(const std::function<bool()>& pred,
 
 class RouterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::set_enabled(true);
-    obs::reset_metrics();
-  }
-  void TearDown() override { obs::set_enabled(true); }
+  void SetUp() override { obs::reset_metrics(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -571,10 +567,9 @@ TEST_F(RouterTest, RouterForwardsWithStablePlacement) {
     const json::Value* alloc = resp.value().body.find("alloc");
     ASSERT_NE(alloc, nullptr);
   }
-  // Same profile set -> same backend every time: exactly one backend's
-  // request counter moved (health probes hit `metrics`, which the
-  // daemon's serve.requests counter also counts, so compare deltas of
-  // answered partitions instead).
+  // Same profile set -> same backend every time: exactly one backend
+  // answered partitions (health probes also count as requests, so
+  // compare answered partitions, not requests).
   std::size_t answered_on = 0;
   for (auto& s : fleet.servers)
     if (s->counters().answered > 0) ++answered_on;
@@ -585,6 +580,34 @@ TEST_F(RouterTest, RouterForwardsWithStablePlacement) {
   EXPECT_GE(c.forwarded, 6u);
   EXPECT_EQ(c.no_backend, 0u);
   router.stop();
+}
+
+TEST_F(RouterTest, FleetCountersSumEachBackendsOwnHealthCounters) {
+  // Two backends share this process, so the registry's serve.requests
+  // counts both; the fleet gauges must come from each backend's own
+  // `health` counters instead.
+  Fleet fleet(2, "fleetsum");
+  fleet.start_all();
+  Router router(fast_router_config(fleet, "fleetsum_r"));
+  ASSERT_TRUE(router.start().ok());
+  Result<Client> client = Client::connect(router.config().socket_path);
+  ASSERT_TRUE(client.ok());
+  constexpr int kRequests = 5;
+  for (int i = 1; i <= kRequests; ++i)
+    ASSERT_TRUE(client.value().call(partition_line(i)).ok());
+
+  // Wait for a full probe round after the last answer, then stop the
+  // prober so neither side moves while they are compared.
+  const std::uint64_t round = router.counters().health_probes +
+                              2 * fleet.servers.size();
+  ASSERT_TRUE(
+      wait_for([&] { return router.counters().health_probes >= round; }));
+  router.stop();
+  double backend_requests = 0.0;
+  for (auto& s : fleet.servers)
+    backend_requests += static_cast<double>(s->counters().requests);
+  EXPECT_GE(backend_requests, kRequests);
+  EXPECT_EQ(obs::gauge("serve.fleet.requests").value(), backend_requests);
 }
 
 TEST_F(RouterTest, RouterFailsOverWhenBackendDies) {
@@ -1082,10 +1105,8 @@ TEST_F(RouterTest, RouterSloOpReportsFleetBurn) {
 
   // Answered locally by the router's own tracker (fleet-level burn over
   // forward outcomes), with the role marker distinguishing it from a
-  // backend's answer. Obs-independent, like the daemon's `slo`.
-  obs::set_enabled(false);
+  // backend's answer. Registry-independent, like the daemon's `slo`.
   Result<Response> r = client.value().call(R"({"id":2,"op":"slo"})");
-  obs::set_enabled(true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
   EXPECT_EQ(r.value().body.get_string("role", ""), "router");

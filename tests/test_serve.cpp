@@ -114,11 +114,7 @@ std::string http_get(int port, const std::string& path) {
 
 class ServeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::set_enabled(true);
-    obs::reset_metrics();
-  }
-  void TearDown() override { obs::set_enabled(true); }
+  void SetUp() override { obs::reset_metrics(); }
 };
 
 TEST_F(ServeTest, PartitionHappyPathAndHealth) {
@@ -771,14 +767,6 @@ TEST_F(ServeTest, MetricsOpExposesRegistryAndPercentiles) {
             std::string::npos);
   EXPECT_NE(prom.find("obs_spans_dropped"), std::string::npos);
 
-  // With obs off at runtime the op answers 501, not a broken protocol.
-  obs::set_enabled(false);
-  Result<Response> off = client.value().call(R"({"id":4,"op":"metrics"})");
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.value().ok);
-  EXPECT_EQ(off.value().code, kCodeObsDisabled);
-  obs::set_enabled(true);
-
   server.request_stop();
   server.stop();
 }
@@ -802,10 +790,8 @@ TEST_F(ServeTest, SlowlogKeepsSlowestAnsweredRequests) {
     ASSERT_TRUE(r.value().ok) << r.value().error;
   }
 
-  // The slow log is server-owned state: it answers even with obs off.
-  obs::set_enabled(false);
+  // The slow log is server-owned state, read from the server itself.
   Result<Response> r = client.value().call(R"({"id":9,"op":"slowlog"})");
-  obs::set_enabled(true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
   EXPECT_EQ(r.value().body.get_number("capacity", 0.0), 2.0);
@@ -908,12 +894,6 @@ TEST_F(ServeTest, HttpEndpointServesPrometheus) {
 
   EXPECT_NE(http_get(port, "/nope").find("404 Not Found"),
             std::string::npos);
-
-  // Runtime obs-off answers an explicit 501, not an empty page.
-  obs::set_enabled(false);
-  EXPECT_NE(http_get(port, "/metrics").find("501 Not Implemented"),
-            std::string::npos);
-  obs::set_enabled(true);
 
   server.request_stop();
   server.stop();
@@ -1337,14 +1317,6 @@ TEST_F(ServeTest, TraceOpReturnsRetainedSpansForId) {
   }
   EXPECT_TRUE(solve_seen);
 
-  // Runtime obs-off: explicit 501, same contract as `metrics`.
-  obs::set_enabled(false);
-  Result<Response> off = client.value().call(encode_request(query));
-  obs::set_enabled(true);
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.value().ok);
-  EXPECT_EQ(off.value().code, kCodeObsDisabled);
-
   server.request_stop();
   server.stop();
 }
@@ -1364,10 +1336,8 @@ TEST_F(ServeTest, SloOpReportsBurnRatesEvenWithObsOff) {
       client.value().call(partition_request(1, {"prog0", "prog1"})).ok());
 
   // The SLO engine is server-owned state, independent of the obs
-  // registry: it answers with obs off at runtime.
-  obs::set_enabled(false);
+  // registry.
   Result<Response> r = client.value().call(R"({"id":2,"op":"slo"})");
-  obs::set_enabled(true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
   EXPECT_TRUE(r.value().body.get_bool("configured", false));
@@ -1650,7 +1620,6 @@ TEST_F(ServeTest, ReloadTagsTheNextDecision) {
 }
 
 TEST_F(ServeTest, DecisionsOpAnswersWithObsOff) {
-  obs::set_enabled(false);
   ServeConfig config;
   config.socket_path = unique_socket_path("decobsoff");
   config.capacity = kCapacity;
@@ -1665,8 +1634,8 @@ TEST_F(ServeTest, DecisionsOpAnswersWithObsOff) {
   ASSERT_TRUE(part.value().ok);
   EXPECT_EQ(part.value().body.get_number("decision_id", 0.0), 1.0);
 
-  // The audit trail is registry-independent: unlike `metrics`, the
-  // decisions op answers with observability off.
+  // The audit trail is registry-independent: the decisions op answers
+  // from the server's own log.
   Result<Response> audit =
       client.value().call(R"({"id":2,"op":"decisions"})");
   ASSERT_TRUE(audit.ok());
@@ -1681,7 +1650,6 @@ TEST_F(ServeTest, DecisionsOpAnswersWithObsOff) {
 
   server.request_stop();
   server.stop();
-  obs::set_enabled(true);
 }
 
 TEST_F(ServeTest, ServeConfigRejectsBadDecisionKnobs) {

@@ -527,10 +527,6 @@ int cmd_phases(const ArgParser& args) {
 }
 
 int cmd_controller(const ArgParser& args) {
-  // The CLI always records: the controller's health counters are read
-  // back from the metrics registry below, and --trace-out / --metrics-out
-  // export whatever the run produced.
-  obs::set_enabled(true);
   std::size_t capacity =
       static_cast<std::size_t>(args.get_int("capacity", 1024));
   std::uint64_t block_bytes =
@@ -649,38 +645,46 @@ int cmd_controller(const ArgParser& args) {
   return 0;
 }
 
-// `ocps stats --socket PATH`: scrape a *running* daemon over its socket
-// (the `metrics` op) and print the Prometheus exposition it returns,
-// instead of running a local controller.
-int cmd_stats_socket(const ArgParser& args, const std::string& socket) {
-  Result<serve::Client> client = serve::Client::connect(socket);
-  if (!client.ok()) {
-    std::cerr << "error: " << client.error().to_string() << "\n";
-    return 1;
-  }
-  serve::Request req;
-  req.id = 1;
-  req.op = serve::Op::kMetrics;
-  Result<serve::Response> resp = client.value().call(
-      serve::encode_request(req),
-      std::chrono::milliseconds(args.get_int("timeout-ms", 30000)));
+// Sends one request to --socket / --addr for the one-shot subcommands
+// (`stats --socket`, `trace`, `slo`, `decisions`, `why`). Returns the ok
+// response; otherwise prints the transport error or the endpoint's error
+// reply and returns nothing.
+std::optional<serve::Response> one_shot_request(const ArgParser& args,
+                                                const char* command,
+                                                const serve::Request& req) {
+  std::string endpoint = args.get_string("addr", "");
+  if (endpoint.empty()) endpoint = args.get_string("socket", "");
+  OCPS_CHECK(!endpoint.empty(),
+             "" << command << " needs --socket PATH or --addr HOST:PORT");
+  auto timeout = std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
+  Result<serve::Client> client = serve::Client::connect(endpoint, timeout);
+  Result<serve::Response> resp =
+      client.ok() ? client.value().call(serve::encode_request(req), timeout)
+                  : Result<serve::Response>(client.error());
   if (!resp.ok()) {
     std::cerr << "error: " << resp.error().to_string() << "\n";
-    return 1;
+    return std::nullopt;
   }
   if (!resp.value().ok) {
-    std::cerr << "error: daemon replied " << resp.value().code << ": "
+    std::cerr << "error: endpoint replied " << resp.value().code << ": "
               << resp.value().error << "\n";
-    return 1;
+    return std::nullopt;
   }
-  std::cout << resp.value().body.get_string("prometheus", "");
-  return 0;
+  return std::move(resp.value());
 }
 
 int cmd_stats(const ArgParser& args) {
-  std::string socket = args.get_string("socket", "");
-  if (!socket.empty()) return cmd_stats_socket(args, socket);
-  obs::set_enabled(true);
+  if (!args.get_string("socket", "").empty()) {
+    // Scrape a *running* daemon (the `metrics` op) and print the
+    // Prometheus exposition it returns, instead of a local run.
+    serve::Request req;
+    req.id = 1;
+    req.op = serve::Op::kMetrics;
+    std::optional<serve::Response> resp = one_shot_request(args, "stats", req);
+    if (!resp) return 1;
+    std::cout << resp->body.get_string("prometheus", "");
+    return 0;
+  }
   std::size_t capacity =
       static_cast<std::size_t>(args.get_int("capacity", 1024));
   std::uint64_t block_bytes =
@@ -756,7 +760,6 @@ const NetFaultInjector* make_chaos_injector(
 }
 
 int cmd_serve(const ArgParser& args) {
-  obs::set_enabled(true);
   serve::ServeConfig config;
   config.socket_path = args.get_string("socket", "");
   config.listen_address = args.get_string("listen", "");
@@ -957,7 +960,6 @@ extern "C" void ocps_router_signal_handler(int) {
 }
 
 int cmd_router(const ArgParser& args) {
-  obs::set_enabled(true);
   serve::RouterConfig config;
   config.socket_path = args.get_string("socket", "");
   config.listen_address = args.get_string("listen", "");
@@ -1032,21 +1034,6 @@ int cmd_router(const ArgParser& args) {
   return 0;
 }
 
-// Sends one request to --socket / --addr and returns the response, for
-// the one-shot observability subcommands (`trace`, `slo`).
-Result<serve::Response> one_shot_request(const ArgParser& args,
-                                         const char* command,
-                                         const serve::Request& req) {
-  std::string endpoint = args.get_string("addr", "");
-  if (endpoint.empty()) endpoint = args.get_string("socket", "");
-  OCPS_CHECK(!endpoint.empty(),
-             "" << command << " needs --socket PATH or --addr HOST:PORT");
-  auto timeout = std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
-  Result<serve::Client> client = serve::Client::connect(endpoint, timeout);
-  if (!client.ok()) return client.error();
-  return client.value().call(serve::encode_request(req), timeout);
-}
-
 // `ocps trace <id>`: fetch every process's retained spans for one trace
 // id (a router answers with its own spans plus every backend's, a daemon
 // with just its own) and stitch them onto one wall-clock timeline.
@@ -1064,17 +1051,9 @@ int cmd_trace(const ArgParser& args) {
   req.id = 1;
   req.op = serve::Op::kTrace;
   req.trace_id = trace_id;
-  Result<serve::Response> resp = one_shot_request(args, "trace", req);
-  if (!resp.ok()) {
-    std::cerr << "error: " << resp.error().to_string() << "\n";
-    return 1;
-  }
-  if (!resp.value().ok) {
-    std::cerr << "error: endpoint replied " << resp.value().code << ": "
-              << resp.value().error << "\n";
-    return 1;
-  }
-  const json::Value* procs = resp.value().body.find("procs");
+  std::optional<serve::Response> resp = one_shot_request(args, "trace", req);
+  if (!resp) return 1;
+  const json::Value* procs = resp->body.find("procs");
   OCPS_CHECK(procs && procs->is_array(),
              "malformed trace response: missing procs");
 
@@ -1193,17 +1172,9 @@ int cmd_slo(const ArgParser& args) {
   serve::Request req;
   req.id = 1;
   req.op = serve::Op::kSlo;
-  Result<serve::Response> resp = one_shot_request(args, "slo", req);
-  if (!resp.ok()) {
-    std::cerr << "error: " << resp.error().to_string() << "\n";
-    return 1;
-  }
-  if (!resp.value().ok) {
-    std::cerr << "error: endpoint replied " << resp.value().code << ": "
-              << resp.value().error << "\n";
-    return 1;
-  }
-  const json::Value& body = resp.value().body;
+  std::optional<serve::Response> resp = one_shot_request(args, "slo", req);
+  if (!resp) return 1;
+  const json::Value& body = resp->body;
   if (!body.get_bool("configured", false)) {
     std::cout << "no SLOs configured (start the endpoint with "
                  "--slo-p99-ms and/or --slo-availability)\n";
@@ -1337,17 +1308,10 @@ int cmd_decisions(const ArgParser& args) {
   std::int64_t limit = args.get_int("limit", 0);
   OCPS_CHECK(limit >= 0, "limit must be >= 0");
   req.limit = static_cast<std::size_t>(limit);
-  Result<serve::Response> resp = one_shot_request(args, "decisions", req);
-  if (!resp.ok()) {
-    std::cerr << "error: " << resp.error().to_string() << "\n";
-    return 1;
-  }
-  if (!resp.value().ok) {
-    std::cerr << "error: endpoint replied " << resp.value().code << ": "
-              << resp.value().error << "\n";
-    return 1;
-  }
-  const json::Value& body = resp.value().body;
+  std::optional<serve::Response> resp =
+      one_shot_request(args, "decisions", req);
+  if (!resp) return 1;
+  const json::Value& body = resp->body;
   const json::Value* backends = body.find("backends");
   if (backends && backends->is_array()) {
     for (const json::Value& b : backends->as_array()) {
@@ -1379,20 +1343,12 @@ int cmd_why(const ArgParser& args) {
   req.id = 1;
   req.op = serve::Op::kDecisions;
   req.decision_id = decision_id;
-  Result<serve::Response> resp = one_shot_request(args, "why", req);
-  if (!resp.ok()) {
-    std::cerr << "error: " << resp.error().to_string() << "\n";
-    return 1;
-  }
-  if (!resp.value().ok) {
-    std::cerr << "error: endpoint replied " << resp.value().code << ": "
-              << resp.value().error << "\n";
-    return 1;
-  }
+  std::optional<serve::Response> resp = one_shot_request(args, "why", req);
+  if (!resp) return 1;
   // Through a router the record arrives inside the first "backends"
   // entry (ids are per-daemon; the router already 404s when nobody knows
   // the id).
-  const json::Value* view = &resp.value().body;
+  const json::Value* view = &resp->body;
   if (const json::Value* backends = view->find("backends"))
     if (backends->is_array() && !backends->as_array().empty()) {
       const json::Value& b = backends->as_array().front();
